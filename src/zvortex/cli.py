@@ -329,10 +329,15 @@ def cmd_geometry(params_path, out_path, fmt, hbar, mass, seed):
     n = params.get("n", 50)
     z_max = params.get("z_max", 4.0)
     z_min = params.get("z_min", 1.0 / z_max)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise click.UsageError(f"n must be an integer >= 2, got {n!r}")
     rows: list[tuple[str, float, float, float, float]] = []
     try:
         one_z = [1.0 + (z_max - 1.0) * i / (n - 1) for i in range(n)]
         zero_z = [z_min + (1.0 - z_min) * i / (n - 1) for i in range(n)]
+        # Rounding can put the formula's last point just above 1, off the
+        # 0-vortex segment; the segment's end is exactly z = 1.
+        zero_z[-1] = 1.0
         for z, p in zip(one_z, vx.gradient_map_segment(vx.Branch.ONE_VORTEX, k, one_z)):
             rows.append(("segment_one", z, *p))
         for z, p in zip(zero_z, vx.gradient_map_segment(vx.Branch.ZERO_VORTEX, k, zero_z)):

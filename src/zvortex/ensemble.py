@@ -6,6 +6,11 @@ ratio r. A 1-vortex emits bit 1 when it collapses at creation time +
 s/(3 k beta); a 0-vortex emits bit 0 when its field first drops below the
 threshold epsilon, at creation time + (ln(1/eps) - k s)/(3 k^2 beta).
 Everything is deterministic given the seed.
+
+The bit stream lists the emitted bits in emission-time order; bits emitted
+at the same instant keep the order in which their vortices were produced
+(arrival index). With only two lifetimes, each branch's emission times
+inherit the arrival order, so the stream is a merge of two sorted runs.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .vortex import (Branch, VortexSolution, collapse_time,
+                     zero_vortex_lifetime)
 from .wavecore import DomainError
 
 
@@ -32,6 +39,11 @@ class EnsembleConfig:
     digest_bits: int = 64
 
     def __post_init__(self):
+        for name in ("pair_production_rate", "ratio_zero_to_one", "k", "s",
+                     "beta", "horizon", "epsilon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.pair_production_rate <= 0.0:
             raise DomainError("production rate must be positive")
         if self.ratio_zero_to_one < 0.0:
@@ -42,9 +54,7 @@ class EnsembleConfig:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.horizon <= 0.0:
             raise DomainError("horizon must be positive")
-        if self.zero_lifetime <= 0.0:
-            raise DomainError(
-                "epsilon >= e^{-ks}: 0-vortices would collapse at creation")
+        self.zero_lifetime  # raises DomainError when epsilon >= e^{-ks}
 
     @property
     def prob_zero(self) -> float:
@@ -53,12 +63,14 @@ class EnsembleConfig:
 
     @property
     def one_lifetime(self) -> float:
-        return self.s / (3.0 * self.k * self.beta)
+        return collapse_time(VortexSolution(
+            Branch.ONE_VORTEX, k=self.k, s=self.s, beta=self.beta))
 
     @property
     def zero_lifetime(self) -> float:
-        return (math.log(1.0 / self.epsilon) - self.k * self.s) / (
-            3.0 * self.k ** 2 * self.beta)
+        return zero_vortex_lifetime(VortexSolution(
+            Branch.ZERO_VORTEX, k=self.k, s=self.s, beta=self.beta),
+            self.epsilon)
 
     @classmethod
     def from_json(cls, text: str) -> "EnsembleConfig":
@@ -112,19 +124,45 @@ class SimulationResult:
 def _arrival_times(rng: np.random.Generator, rate: float,
                    horizon: float) -> np.ndarray:
     """Poisson arrival times on [0, horizon), batched exponential gaps."""
-    expected = rate * horizon
+    batch = max(int(rate * horizon * 0.1) + 64, 1024)
     times: list[np.ndarray] = []
     t_last = 0.0
     while True:
-        batch = max(int(expected * 0.1) + 64, 1024)
-        gaps = rng.exponential(1.0 / rate, size=batch)
-        arr = t_last + np.cumsum(gaps)
-        times.append(arr)
+        arr = rng.exponential(1.0 / rate, size=batch)
+        np.cumsum(arr, out=arr)
+        arr += t_last
         t_last = arr[-1]
         if t_last >= horizon:
-            break
-    all_times = np.concatenate(times)
-    return all_times[all_times < horizon]
+            # Earlier batches end below the horizon; only this one is cut.
+            times.append(arr[:np.searchsorted(arr, horizon, "left")])
+            return np.concatenate(times)
+        times.append(arr)
+
+
+def _bit_stream(t0: np.ndarray, t1: np.ndarray, is_zero: np.ndarray) -> str:
+    """Merge the emitted runs of both branches into the ordered bit string.
+
+    ``t0`` and ``t1`` are the sorted emission times of the emitted 0- and
+    1-vortices, each a prefix of its branch in arrival order; ``is_zero``
+    marks the branch of every arrival. A 1-bit lands after every earlier
+    0-bit and every earlier 1-bit; a 0-bit emitted at the same instant goes
+    first when its vortex arrived first.
+    """
+    n0, n1 = t0.size, t1.size
+    zeros_before = np.searchsorted(t0, t1, "left")
+    if n0 and n1:
+        tied = np.flatnonzero(
+            t0[np.minimum(zeros_before, n0 - 1)] == t1)
+        if tied.size:
+            hi = np.searchsorted(t0, t1[tied], "right")
+            idx0 = np.flatnonzero(is_zero)[:n0]
+            idx1 = np.flatnonzero(~is_zero)[tied]
+            zeros_before[tied] = np.clip(np.searchsorted(idx0, idx1),
+                                         zeros_before[tied], hi)
+    zeros_before += np.arange(n1)
+    buf = np.full(n0 + n1, ord("0"), dtype=np.uint8)
+    buf[zeros_before] = ord("1")
+    return buf.tobytes().decode("ascii")
 
 
 def simulate(config: EnsembleConfig) -> SimulationResult:
@@ -132,20 +170,18 @@ def simulate(config: EnsembleConfig) -> SimulationResult:
     rng = np.random.default_rng(config.seed)
     arrivals = _arrival_times(rng, config.pair_production_rate, config.horizon)
     is_zero = rng.random(arrivals.size) < config.prob_zero
-    lifetimes = np.where(is_zero, config.zero_lifetime, config.one_lifetime)
-    emission_times = arrivals + lifetimes
-    emitted_mask = emission_times <= config.horizon
+    t0 = arrivals[is_zero]
+    t0 += config.zero_lifetime
+    t1 = arrivals[~is_zero]
+    t1 += config.one_lifetime
+    del arrivals
+    emitted_zero = int(np.searchsorted(t0, config.horizon, "right"))
+    emitted_one = int(np.searchsorted(t1, config.horizon, "right"))
+    bit_stream = _bit_stream(t0[:emitted_zero], t1[:emitted_one], is_zero)
 
-    order = np.argsort(emission_times[emitted_mask], kind="stable")
-    emitted_bits = np.where(is_zero[emitted_mask], 0, 1)[order]
-    bit_stream = "".join("01"[b] for b in emitted_bits)
-
-    produced_zero = int(np.count_nonzero(is_zero))
-    produced_one = int(arrivals.size - produced_zero)
-    emitted_zero = int(np.count_nonzero(is_zero & emitted_mask))
-    emitted_one = int(np.count_nonzero(~is_zero & emitted_mask))
-    emitted_total_one = emitted_one
-    ratio = (emitted_zero / emitted_total_one) if emitted_total_one else math.inf
+    produced_zero = t0.size
+    produced_one = t1.size
+    ratio = (emitted_zero / emitted_one) if emitted_one else math.inf
 
     report = EnsembleReport(
         produced_zero=produced_zero,

@@ -1,8 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import zvortex
 from zvortex.cli import cli
 
 
@@ -15,6 +20,16 @@ def write_params(tmp_path, data, name="params.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def run_cli_process(*args):
+    """Run the CLI in a fresh interpreter, so an uncaught exception would
+    print its traceback."""
+    src = os.path.dirname(os.path.dirname(zvortex.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "zvortex.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
 
 
 class TestVerify:
@@ -161,6 +176,26 @@ class TestEnsemble:
         result = runner.invoke(cli, ["ensemble", "--params", params])
         assert result.exit_code == 1
 
+    def test_nan_horizon_is_domain_error(self, tmp_path):
+        cfg = self.config()
+        cfg["horizon"] = math.nan
+        params = write_params(tmp_path, cfg)
+        proc = run_cli_process("ensemble", "--params", params)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: horizon must be finite")
+
+    @pytest.mark.parametrize("key,value", [("pair_production_rate", math.inf),
+                                           ("k", math.nan)])
+    def test_non_finite_values_fail_cleanly(self, runner, tmp_path, key, value):
+        cfg = self.config()
+        cfg[key] = value
+        params = write_params(tmp_path, cfg)
+        result = runner.invoke(cli, ["ensemble", "--params", params])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.output
+
     def test_unknown_key_usage_error(self, runner, tmp_path):
         cfg = self.config()
         cfg["bogus"] = 1
@@ -193,6 +228,36 @@ class TestGeometry:
         for p in payload["points"]:
             if p["kind"] == "involution":
                 assert p["px"] == pytest.approx(-2.0 * p["pz"], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 0, -3, 2.5, 724.0, "5", True, None])
+    def test_bad_n_is_usage_error(self, runner, tmp_path, n):
+        params = write_params(tmp_path, {"k": 1.0, "n": n, "z_max": 4.0})
+        result = runner.invoke(cli, ["geometry", "--params", params])
+        assert result.exit_code == 2
+        assert "n must be an integer >= 2" in result.output
+
+    def test_n_one_prints_no_traceback(self, tmp_path):
+        params = write_params(tmp_path, {"k": 1.0, "n": 1, "z_max": 4.0})
+        proc = run_cli_process("geometry", "--params", params)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
+
+    # With the default z_min = 1/z_max and n = 724, the grid formula rounds
+    # the last 0-vortex point above 1 for z_max = 5.9003 and 3.4303. 5.9242
+    # is the failing request as first reported, with z_max shown to four
+    # places; at exactly 5.9242 the formula already gives 1.
+    @pytest.mark.parametrize("z_max", [5.9242, 5.9003, 3.4303])
+    def test_last_zero_point_is_exactly_one(self, runner, tmp_path, z_max):
+        params = write_params(tmp_path, {"k": 0.5715, "n": 724,
+                                         "z_max": z_max})
+        result = runner.invoke(cli, ["geometry", "--params", params,
+                                     "--format", "json"])
+        assert result.exit_code == 0, result.output
+        points = json.loads(result.output)["points"]
+        seg_zero = [p for p in points if p["kind"] == "segment_zero"]
+        assert len(seg_zero) == 724
+        assert seg_zero[-1]["z"] == 1.0
+        assert all(p["z"] <= 1.0 for p in seg_zero)
 
     def test_bad_range_fails(self, runner, tmp_path):
         params = write_params(tmp_path, {"k": 1.0, "n": 5, "z_max": 0.5})

@@ -1,16 +1,20 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from zvortex import (
     DomainError,
     EnsembleConfig,
+    EnsembleReport,
+    SimulationResult,
     equalization_check,
     expected_emissions,
     simulate,
     steady_state_counts,
 )
+from zvortex.ensemble import _bit_stream
 
 
 def make_config(**kw):
@@ -18,6 +22,60 @@ def make_config(**kw):
                 k=1.0, s=1.0, beta=1.0, horizon=20.0, epsilon=1e-6, seed=7)
     base.update(kw)
     return EnsembleConfig(**base)
+
+
+# Reference engine: the argsort-based simulate, kept verbatim so the merge
+# engine can be held to byte-identical reports and bit streams.
+def _oracle_arrival_times(rng: np.random.Generator, rate: float,
+                          horizon: float) -> np.ndarray:
+    """Poisson arrival times on [0, horizon), batched exponential gaps."""
+    expected = rate * horizon
+    times: list[np.ndarray] = []
+    t_last = 0.0
+    while True:
+        batch = max(int(expected * 0.1) + 64, 1024)
+        gaps = rng.exponential(1.0 / rate, size=batch)
+        arr = t_last + np.cumsum(gaps)
+        times.append(arr)
+        t_last = arr[-1]
+        if t_last >= horizon:
+            break
+    all_times = np.concatenate(times)
+    return all_times[all_times < horizon]
+
+
+def oracle_simulate(config: EnsembleConfig) -> SimulationResult:
+    """Run the production/collapse process to the horizon."""
+    rng = np.random.default_rng(config.seed)
+    arrivals = _oracle_arrival_times(rng, config.pair_production_rate,
+                                     config.horizon)
+    is_zero = rng.random(arrivals.size) < config.prob_zero
+    lifetimes = np.where(is_zero, config.zero_lifetime, config.one_lifetime)
+    emission_times = arrivals + lifetimes
+    emitted_mask = emission_times <= config.horizon
+
+    order = np.argsort(emission_times[emitted_mask], kind="stable")
+    emitted_bits = np.where(is_zero[emitted_mask], 0, 1)[order]
+    bit_stream = "".join("01"[b] for b in emitted_bits)
+
+    produced_zero = int(np.count_nonzero(is_zero))
+    produced_one = int(arrivals.size - produced_zero)
+    emitted_zero = int(np.count_nonzero(is_zero & emitted_mask))
+    emitted_one = int(np.count_nonzero(~is_zero & emitted_mask))
+    emitted_total_one = emitted_one
+    ratio = (emitted_zero / emitted_total_one) if emitted_total_one else math.inf
+
+    report = EnsembleReport(
+        produced_zero=produced_zero,
+        produced_one=produced_one,
+        emitted_zero=emitted_zero,
+        emitted_one=emitted_one,
+        live_zero=produced_zero - emitted_zero,
+        live_one=produced_one - emitted_one,
+        bit_sequence_digest=bit_stream[:config.digest_bits],
+        empirical_ratio=ratio,
+    )
+    return SimulationResult(report=report, bit_stream=bit_stream)
 
 
 class TestConfig:
@@ -32,6 +90,22 @@ class TestConfig:
             make_config(epsilon=0.5)  # above e^{-ks}
         with pytest.raises(DomainError):
             make_config(epsilon=0.0)
+
+    @pytest.mark.parametrize("name", ["pair_production_rate",
+                                      "ratio_zero_to_one", "k", "s", "beta",
+                                      "horizon", "epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            make_config(**{name: value})
+
+    def test_lifetimes_match_vortex_closed_forms(self):
+        for k, s, beta, eps in [(1.0, 1.0, 1.0, 1e-6), (0.4, 2.5, 0.7, 1e-3),
+                                (1.7, 0.3, 2.2, 0.5)]:
+            cfg = make_config(k=k, s=s, beta=beta, epsilon=eps)
+            assert cfg.one_lifetime == s / (3.0 * k * beta)
+            assert cfg.zero_lifetime == (math.log(1.0 / eps) - k * s) / (
+                3.0 * k ** 2 * beta)
 
     def test_branch_probability(self):
         assert make_config(ratio_zero_to_one=1.0).prob_zero == 0.5
@@ -102,6 +176,58 @@ class TestSimulate:
         result = simulate(make_config(pair_production_rate=2000.0))
         head = result.bit_stream[:200]
         assert head.count("1") > head.count("0")
+
+
+# e^{-2ks} < epsilon < e^{-ks}: 0-vortices die before 1-vortices.
+EPS_ZERO_FIRST = 0.2
+
+
+class TestOracle:
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"ratio_zero_to_one": 0.0},
+        {"ratio_zero_to_one": 1e3},
+        {"ratio_zero_to_one": 0.05, "pair_production_rate": 3000.0},
+        {"horizon": 0.25},  # shorter than both lifetimes: empty stream
+        {"epsilon": EPS_ZERO_FIRST},
+        {"epsilon": EPS_ZERO_FIRST, "horizon": 0.3},
+        {"digest_bits": 10 ** 6},
+        {"pair_production_rate": 2.0, "horizon": 3.0},
+        {"k": 0.4, "s": 2.5, "beta": 0.7, "epsilon": 1e-3, "horizon": 9.0},
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_matches_argsort_engine(self, kw, seed):
+        cfg = make_config(**{"seed": seed, **kw})
+        new, old = simulate(cfg), oracle_simulate(cfg)
+        assert new.bit_stream == old.bit_stream
+        assert new.report.to_json() == old.report.to_json()
+        assert new == old
+
+    def test_edge_cases_are_reached(self):
+        assert make_config(epsilon=EPS_ZERO_FIRST).zero_lifetime < \
+            make_config().one_lifetime
+        assert simulate(make_config(horizon=0.25)).bit_stream == ""
+        long_digest = simulate(make_config(digest_bits=10 ** 6))
+        assert long_digest.report.bit_sequence_digest == long_digest.bit_stream
+
+    def test_merge_breaks_ties_by_arrival(self):
+        # Integer-valued times make cross-branch ties common; the stable
+        # argsort of the emission times in arrival order is the reference.
+        rng = np.random.default_rng(2024)
+        for case in range(500):
+            n = int(rng.integers(0, 60))
+            arrivals = np.sort(rng.integers(0, 12, size=n)).astype(float)
+            is_zero = rng.random(n) < rng.uniform(0.0, 1.0)
+            life0, life1 = (float(v) for v in rng.integers(0, 6, size=2))
+            horizon = float(rng.integers(0, 18))
+            emission = np.where(is_zero, arrivals + life0, arrivals + life1)
+            emitted = emission <= horizon
+            order = np.argsort(emission[emitted], kind="stable")
+            expected = "".join("01"[b] for b in
+                               np.where(is_zero[emitted], 0, 1)[order])
+            t0 = arrivals[is_zero & emitted] + life0
+            t1 = arrivals[~is_zero & emitted] + life1
+            assert _bit_stream(t0, t1, is_zero) == expected, case
 
 
 class TestSteadyState:
