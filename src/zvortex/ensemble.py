@@ -151,8 +151,7 @@ def _bit_stream(t0: np.ndarray, t1: np.ndarray, is_zero: np.ndarray) -> str:
     n0, n1 = t0.size, t1.size
     zeros_before = np.searchsorted(t0, t1, "left")
     if n0 and n1:
-        tied = np.flatnonzero(
-            t0[np.minimum(zeros_before, n0 - 1)] == t1)
+        tied = np.flatnonzero(t0[np.minimum(zeros_before, n0 - 1)] == t1)
         if tied.size:
             hi = np.searchsorted(t0, t1[tied], "right")
             idx0 = np.flatnonzero(is_zero)[:n0]
