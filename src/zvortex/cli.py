@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from typing import TextIO
 
 import click
 
@@ -43,16 +42,72 @@ def _load_params(path: str | None) -> dict:
     return data
 
 
-def _open_out(path: str | None) -> TextIO:
-    return open(path, "w") if path else sys.stdout
+def _emit(path: str | None, *parts: str) -> None:
+    """Write the parts to the file at ``path``, or to stdout."""
+    if not path:
+        sys.stdout.writelines(parts)
+        return
+    with open(path, "w") as fh:
+        fh.writelines(parts)
+
+
+def _finite(value) -> bool:
+    """True for a number, not a bool, that is finite as a float."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _number(params: dict, key: str, default: float | None = None) -> float:
+    """``params[key]`` (or the default), which must be a finite number."""
+    value = params.get(key, default)
+    if not _finite(value):
+        raise click.UsageError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
+def _numbers(params: dict, key: str, default: list | None = None) -> list:
+    """``params[key]`` (or the default), which must be a list of finite numbers."""
+    values = params.get(key, default)
+    if not isinstance(values, list) or not all(_finite(v) for v in values):
+        raise click.UsageError(f"{key} must be a list of finite numbers")
+    return values
+
+
+def _count(params: dict, key: str, default: int, minimum: int) -> int:
+    """``params[key]`` (or the default), which must be an integer >= minimum."""
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise click.UsageError(
+            f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _default_tolerance(fallback: float) -> float:
     override = os.environ.get(TOLERANCE_ENV)
-    return float(override) if override else fallback
+    if not override:
+        return fallback
+    try:
+        return float(override)
+    except ValueError:
+        raise click.UsageError(
+            f"{TOLERANCE_ENV} must be a number, got {override!r}") from None
 
 
-@click.group()
+class _Group(click.Group):
+    """Turns a DomainError raised by any command (or by its parameter
+    handling) into an ``error:`` line on stderr and exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DomainError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Group)
 def cli():
     """Numerical checks and simulators for complex-power vortex waves."""
 
@@ -78,8 +133,8 @@ def common_options(f):
 
 def _physical(params: dict, hbar: float | None, mass: float | None) -> sf.PhysicalParams:
     return sf.PhysicalParams(
-        hbar=hbar if hbar is not None else params.get("hbar", 1.0),
-        mass=mass if mass is not None else params.get("mass", 1.0),
+        hbar=hbar if hbar is not None else _number(params, "hbar", 1.0),
+        mass=mass if mass is not None else _number(params, "mass", 1.0),
     )
 
 
@@ -88,36 +143,36 @@ def _physical(params: dict, hbar: float | None, mass: float | None) -> sf.Physic
 
 def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
     grid = params.get("grid", {})
-    z_values = grid.get("z", [0.5, 0.8, 1.0, 1.5, 2.0])
-    x_values = grid.get("x", [-2.0, -1.0, 0.0, 1.0, 2.0])
-    y_values = grid.get("y", [-2.0, -1.0, 0.0, 1.0, 2.0])
+    if not isinstance(grid, dict):
+        raise click.UsageError("grid must be a JSON object")
+    z_values = _numbers(grid, "z", [0.5, 0.8, 1.0, 1.5, 2.0])
+    x_values = _numbers(grid, "x", [-2.0, -1.0, 0.0, 1.0, 2.0])
+    y_values = _numbers(grid, "y", [-2.0, -1.0, 0.0, 1.0, 2.0])
     if any(z <= 0.0 for z in z_values):
         raise click.UsageError("grid z values must be positive")
-    h1 = params.get("h_first", 1e-5)
-    h2 = params.get("h_second", 1e-4)
-    perturb = params.get("perturb", 0.0)
-    u_f = params.get("u_f", 2.5)
+    h1 = _number(params, "h_first", 1e-5)
+    h2 = _number(params, "h_second", 1e-4)
+    perturb = _number(params, "perturb", 0.0)
+    u_f = _number(params, "u_f", 2.5)
+    cr_tol = _default_tolerance(_number(params, "cr_tolerance", 1e-8))
+    lap_tol = _number(params, "laplace_tolerance", 1e-6)
+    res_tol = _number(params, "residual_tolerance", 1e-10)
 
     checks = []
 
     cr_max = 0.0
-    for z in z_values:
-        for x in x_values:
-            for y in y_values:
-                r1, r2 = wc.check_cauchy_riemann(z, CParam(x, y), h1)
-                cr_max = max(cr_max, r1, r2)
-    cr_tol = _default_tolerance(params.get("cr_tolerance", 1e-8))
-    checks.append({"name": "cauchy_riemann", "max_residual": cr_max,
-                   "tolerance": cr_tol, "pass": cr_max <= cr_tol})
-
     lap_max = 0.0
     for z in z_values:
         for x in x_values:
             for y in y_values:
-                ru, rv = wc.laplace_residual(z, CParam(x, y), h2)
+                c = CParam(x, y)
+                r1, r2 = wc.check_cauchy_riemann(z, c, h1)
+                cr_max = max(cr_max, r1, r2)
+                ru, rv = wc.laplace_residual(z, c, h2)
                 scale = z ** x
                 lap_max = max(lap_max, ru / scale, rv / scale)
-    lap_tol = params.get("laplace_tolerance", 1e-6)
+    checks.append({"name": "cauchy_riemann", "max_residual": cr_max,
+                   "tolerance": cr_tol, "pass": cr_max <= cr_tol})
     checks.append({"name": "laplace", "max_residual": lap_max,
                    "tolerance": lap_tol, "pass": lap_max <= lap_tol})
 
@@ -144,27 +199,18 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
     r_grid = [0.2, 0.6, 1.0]
     t_grid = [0.0, 0.1, 0.3]
     fields = {
-        "real_solution_R": (vx.real_solution(u_f, phys, sign=1), "real"),
+        "real_solution_R": (vx.real_solution(u_f, phys, sign=1), "max_abs_real"),
         "one_vortex_I": (vx.imag_solution(vx.Branch.ONE_VORTEX, u_f, phys).to_field(),
-                         "imag"),
+                         "max_abs_imag"),
         "zero_vortex_I": (vx.imag_solution(vx.Branch.ZERO_VORTEX, u_f, phys).to_field(),
-                          "imag"),
+                          "max_abs_imag"),
     }
-    res_tol = params.get("residual_tolerance", 1e-10)
-    for name, (field, kind) in fields.items():
+    for name, (field, part) in fields.items():
         if perturb:
             field = sf.ZField(value=(lambda f: lambda rx, ry, t:
                                      f(rx, ry, t) + perturb * t)(field.value))
-        worst = 0.0
-        for rx in r_grid:
-            for ry in r_grid:
-                for t in t_grid:
-                    p = (rx, ry, t)
-                    if kind == "real":
-                        r = sf.real_residual(field, c12, phys, pot, p)
-                    else:
-                        r = sf.imag_residual(field, c12, phys, pot, p)
-                    worst = max(worst, abs(r))
+        report = sf.evaluate_grid(field, c12, phys, pot, r_grid, r_grid, t_grid)
+        worst = getattr(report, part)
         tol = res_tol if field.has_analytic_partials() else 1e-5
         checks.append({"name": name, "max_residual": worst,
                        "tolerance": tol, "pass": worst <= tol})
@@ -176,24 +222,17 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
 def cmd_verify(params_path, out_path, fmt, hbar, mass, seed):
     """Run the full analyticity and residual property grid."""
     params = _load_params(params_path)
-    phys = _physical(params, hbar, mass)
-    checks = _verify_checks(params, phys)
-    out = _open_out(out_path)
-    try:
-        if fmt == "json":
-            out.write(json.dumps({"checks": checks,
-                                  "all_pass": all(c["pass"] for c in checks)},
-                                 sort_keys=True))
-            out.write("\n")
-        else:
-            out.write("check,max_residual,tolerance,pass\n")
-            for c in checks:
-                out.write(f"{c['name']},{_fmt(c['max_residual'])},"
-                          f"{_fmt(c['tolerance'])},{str(c['pass']).lower()}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    if not all(c["pass"] for c in checks):
+    checks = _verify_checks(params, _physical(params, hbar, mass))
+    all_pass = all(c["pass"] for c in checks)
+    if fmt == "json":
+        _emit(out_path, json.dumps({"checks": checks, "all_pass": all_pass},
+                                   sort_keys=True), "\n")
+    else:
+        _emit(out_path, "check,max_residual,tolerance,pass\n",
+              *(f"{c['name']},{_fmt(c['max_residual'])},"
+                f"{_fmt(c['tolerance'])},{str(c['pass']).lower()}\n"
+                for c in checks))
+    if not all_pass:
         raise SystemExit(1)
 
 
@@ -210,45 +249,34 @@ def cmd_trajectory(params_path, out_path, fmt, hbar, mass, seed):
         branch = vx.Branch(params.get("branch", "one_vortex"))
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    s = params.get("s", 1.0)
-    try:
-        if "k" in params:
-            sol = vx.VortexSolution(branch=branch, k=params["k"], s=s,
-                                    beta=phys.beta)
-        elif "u_f" in params:
-            sol = vx.imag_solution(branch, params["u_f"], phys, s=s)
-        else:
-            raise click.UsageError("params must provide k or u_f")
-        t_max = params.get("t_max", 1.0)
-        steps = params.get("steps", 100)
-        t_grid = [t_max * i / (steps - 1) for i in range(steps)] if steps > 1 \
-            else ([0.0] if steps == 1 else [])
-        points = vx.trajectory(sol, t_grid=t_grid)
-        t_star = vx.collapse_time(sol)
-    except DomainError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(1)
-    out = _open_out(out_path)
-    try:
-        footer = {"collapse_time": None if math.isinf(t_star) else t_star,
-                  "branch": sol.branch.value, "k": sol.k, "s": sol.s,
-                  "beta": sol.beta}
-        if fmt == "json":
-            out.write(json.dumps({
-                "points": [{"t": p.t, "u": p.u, "v": p.v, "radius": p.radius,
-                            "gradient_radius": p.gradient_radius}
-                           for p in points],
-                **footer}, sort_keys=True))
-            out.write("\n")
-        else:
-            out.write("t,u,v,radius,gradient_radius\n")
-            for p in points:
-                out.write(f"{_fmt(p.t)},{_fmt(p.u)},{_fmt(p.v)},"
-                          f"{_fmt(p.radius)},{_fmt(p.gradient_radius)}\n")
-            out.write("# " + json.dumps(footer, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    s = _number(params, "s", 1.0)
+    if "k" in params:
+        sol = vx.VortexSolution(branch=branch, k=_number(params, "k"), s=s,
+                                beta=phys.beta)
+    elif "u_f" in params:
+        sol = vx.imag_solution(branch, _number(params, "u_f"), phys, s=s)
+    else:
+        raise click.UsageError("params must provide k or u_f")
+    t_max = _number(params, "t_max", 1.0)
+    steps = _count(params, "steps", 100, minimum=0)
+    t_grid = [t_max * i / (steps - 1) for i in range(steps)] if steps > 1 \
+        else ([0.0] if steps == 1 else [])
+    points = vx.trajectory(sol, t_grid=t_grid)
+    t_star = vx.collapse_time(sol)
+    footer = {"collapse_time": None if math.isinf(t_star) else t_star,
+              "branch": sol.branch.value, "k": sol.k, "s": sol.s,
+              "beta": sol.beta}
+    if fmt == "json":
+        _emit(out_path, json.dumps({
+            "points": [{"t": p.t, "u": p.u, "v": p.v, "radius": p.radius,
+                        "gradient_radius": p.gradient_radius}
+                       for p in points],
+            **footer}, sort_keys=True), "\n")
+    else:
+        _emit(out_path, "t,u,v,radius,gradient_radius\n",
+              *(f"{_fmt(p.t)},{_fmt(p.u)},{_fmt(p.v)},"
+                f"{_fmt(p.radius)},{_fmt(p.gradient_radius)}\n" for p in points),
+              "# " + json.dumps(footer, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------- ladder
@@ -260,28 +288,15 @@ def cmd_ladder(params_path, out_path, fmt, hbar, mass, seed):
     """Trace the quantized k along an energy schedule."""
     params = _load_params(params_path)
     phys = _physical(params, hbar, mass)
-    if "eigenvalues" not in params or "schedule" not in params:
-        raise click.UsageError("params must provide eigenvalues and schedule")
-    try:
-        ladder = energy_mod.EnergyLadder(tuple(params["eigenvalues"]))
-        trace = energy_mod.k_jump_trace(ladder, params["schedule"], phys)
-    except DomainError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(1)
-    out = _open_out(out_path)
-    try:
-        if fmt == "json":
-            out.write(json.dumps({"trace": [
-                {"step": r.step, "E": r.E, "j": r.j, "k": r.k} for r in trace
-            ]}, sort_keys=True))
-            out.write("\n")
-        else:
-            out.write("step,E,j,k\n")
-            for r in trace:
-                out.write(f"{r.step},{_fmt(r.E)},{r.j},{_fmt(r.k)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    ladder = energy_mod.EnergyLadder(tuple(_numbers(params, "eigenvalues")))
+    trace = energy_mod.k_jump_trace(ladder, _numbers(params, "schedule"), phys)
+    if fmt == "json":
+        _emit(out_path, json.dumps({"trace": [
+            {"step": r.step, "E": r.E, "j": r.j, "k": r.k} for r in trace
+        ]}, sort_keys=True), "\n")
+    else:
+        _emit(out_path, "step,E,j,k\n",
+              *(f"{r.step},{_fmt(r.E)},{r.j},{_fmt(r.k)}\n" for r in trace))
 
 
 # -------------------------------------------------------------- ensemble
@@ -298,23 +313,12 @@ def cmd_ensemble(params_path, out_path, fmt, hbar, mass, seed, bits_out):
         params["seed"] = seed
     try:
         config = ensemble_mod.EnsembleConfig(**params)
-        result = ensemble_mod.simulate(config)
-    except DomainError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(1)
     except TypeError as exc:
         raise click.UsageError(f"bad ensemble config: {exc}")
+    result = ensemble_mod.simulate(config)
     if bits_out:
-        with open(bits_out, "w") as fh:
-            fh.write(result.bit_stream)
-            fh.write("\n")
-    out = _open_out(out_path)
-    try:
-        out.write(result.report.to_json())
-        out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        _emit(bits_out, result.bit_stream, "\n")
+    _emit(out_path, result.report.to_json(), "\n")
 
 
 # -------------------------------------------------------------- geometry
@@ -325,48 +329,38 @@ def cmd_ensemble(params_path, out_path, fmt, hbar, mass, seed, bits_out):
 def cmd_geometry(params_path, out_path, fmt, hbar, mass, seed):
     """Sample the gradient-map segments, involution images, and squared ray."""
     params = _load_params(params_path)
-    k = params.get("k", 1.0)
-    n = params.get("n", 50)
-    z_max = params.get("z_max", 4.0)
-    z_min = params.get("z_min", 1.0 / z_max)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise click.UsageError(f"n must be an integer >= 2, got {n!r}")
+    k = _number(params, "k", 1.0)
+    n = _count(params, "n", 50, minimum=2)
+    z_max = _number(params, "z_max", 4.0)
+    if z_max <= 0.0:
+        raise click.UsageError(f"z_max must be positive, got {z_max!r}")
+    z_min = _number(params, "z_min", 1.0 / z_max)
     rows: list[tuple[str, float, float, float, float]] = []
-    try:
-        one_z = [1.0 + (z_max - 1.0) * i / (n - 1) for i in range(n)]
-        zero_z = [z_min + (1.0 - z_min) * i / (n - 1) for i in range(n)]
-        # Rounding can put the formula's last point just above 1, off the
-        # 0-vortex segment; the segment's end is exactly z = 1.
-        zero_z[-1] = 1.0
-        for z, p in zip(one_z, vx.gradient_map_segment(vx.Branch.ONE_VORTEX, k, one_z)):
-            rows.append(("segment_one", z, *p))
-        for z, p in zip(zero_z, vx.gradient_map_segment(vx.Branch.ZERO_VORTEX, k, zero_z)):
-            rows.append(("segment_zero", z, *p))
-        for z in one_z:
-            if z > 1.0:
-                img = vx.segment_involution((k * z, k * z, z), k)
-                rows.append(("involution", z, *img))
-        for z in zero_z:
-            rows.append(("squared", z, *vx.squared_map(vx.Branch.ZERO_VORTEX, k, z)))
-        for z in one_z:
-            rows.append(("squared", z, *vx.squared_map(vx.Branch.ONE_VORTEX, k, z)))
-    except DomainError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(1)
-    out = _open_out(out_path)
-    try:
-        if fmt == "json":
-            out.write(json.dumps({"points": [
-                {"kind": kind, "z": z, "px": px, "py": py, "pz": pz}
-                for kind, z, px, py, pz in rows]}, sort_keys=True))
-            out.write("\n")
-        else:
-            out.write("kind,z,px,py,pz\n")
-            for kind, z, px, py, pz in rows:
-                out.write(f"{kind},{_fmt(z)},{_fmt(px)},{_fmt(py)},{_fmt(pz)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    one_z = [1.0 + (z_max - 1.0) * i / (n - 1) for i in range(n)]
+    zero_z = [z_min + (1.0 - z_min) * i / (n - 1) for i in range(n)]
+    # Rounding can put the formula's last point just above 1, off the
+    # 0-vortex segment; the segment's end is exactly z = 1.
+    zero_z[-1] = 1.0
+    for z, p in zip(one_z, vx.gradient_map_segment(vx.Branch.ONE_VORTEX, k, one_z)):
+        rows.append(("segment_one", z, *p))
+    for z, p in zip(zero_z, vx.gradient_map_segment(vx.Branch.ZERO_VORTEX, k, zero_z)):
+        rows.append(("segment_zero", z, *p))
+    for z in one_z:
+        if z > 1.0:
+            img = vx.segment_involution((k * z, k * z, z), k)
+            rows.append(("involution", z, *img))
+    for z in zero_z:
+        rows.append(("squared", z, *vx.squared_map(vx.Branch.ZERO_VORTEX, k, z)))
+    for z in one_z:
+        rows.append(("squared", z, *vx.squared_map(vx.Branch.ONE_VORTEX, k, z)))
+    if fmt == "json":
+        _emit(out_path, json.dumps({"points": [
+            {"kind": kind, "z": z, "px": px, "py": py, "pz": pz}
+            for kind, z, px, py, pz in rows]}, sort_keys=True), "\n")
+    else:
+        _emit(out_path, "kind,z,px,py,pz\n",
+              *(f"{kind},{_fmt(z)},{_fmt(px)},{_fmt(py)},{_fmt(pz)}\n"
+                for kind, z, px, py, pz in rows))
 
 
 def main():

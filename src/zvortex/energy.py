@@ -9,13 +9,14 @@ sqrt(m / 6 hbar^2) (sqrt(E_j) - sqrt(E_{j-1})) at each level transition.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
 from .schrodinger_field import PhysicalParams
-from .vortex import Branch, VortexSolution
+from .vortex import Branch, VortexSolution, k_from_potential
 from .wavecore import DomainError
 
 
@@ -33,6 +34,8 @@ class EnergyLadder:
         ev = tuple(float(e) for e in self.eigenvalues)
         if not ev:
             raise DomainError("ladder must be non-empty")
+        if not all(math.isfinite(e) for e in ev):
+            raise DomainError(f"eigenvalues must be finite, got {ev}")
         if any(b <= a for a, b in zip(ev, ev[1:])):
             raise DomainError("eigenvalues must be strictly increasing")
         object.__setattr__(self, "eigenvalues", ev)
@@ -69,42 +72,37 @@ def energy_of_potential(u_f: float, params: PhysicalParams) -> float:
 
 
 def level_index(ladder: EnergyLadder, E: float) -> int:
-    """Index j of the highest eigenvalue reached by E (lambda(0) = 1)."""
-    count = sum(1 for e_i in ladder.eigenvalues if unit_step(E - e_i) == 1.0)
-    if count == 0:
+    """Index j of the highest eigenvalue reached by E (lambda(0) = 1).
+
+    That is the number of eigenvalues E_i with unit_step(E - E_i) = 1, less
+    one, found by bisection.
+    """
+    if not E >= ladder.eigenvalues[0]:  # also rejects NaN
         raise BelowLadderError(
             f"E = {E} lies below the ground eigenvalue {ladder.eigenvalues[0]}")
-    return count - 1
+    return bisect.bisect_right(ladder.eigenvalues, E) - 1
+
+
+def _level_potential(ladder: EnergyLadder, j: int) -> float:
+    return 5.0 / 12.0 * ladder.eigenvalues[j]
 
 
 def potential_of_energy(ladder: EnergyLadder, E: float) -> float:
-    """Step potential U(E) = (5/12) E_j via the literal step-function sums.
-
-    For j > 0 this is (5/12) [sum of eigenvalues reached by E minus the
-    eigenvalues below level j], which telescopes to (5/12) E_j; the j = 0
-    branch is (5/12) E_0 directly.
-    """
-    j = level_index(ladder, E)
-    ev = ladder.eigenvalues
-    if j == 0:
-        return 5.0 / 12.0 * ev[0]
-    reached = sum(unit_step(E - e_i) * e_i for e_i in ev)
-    below = sum(ev[:j])
-    return 5.0 / 12.0 * (reached - below)
+    """Step potential U(E) = (5/12) E_j for the level j reached by E."""
+    return _level_potential(ladder, level_index(ladder, E))
 
 
 def select_level(ladder: EnergyLadder, E: float,
                  params: PhysicalParams) -> LevelSelection:
     j = level_index(ladder, E)
     e_j = ladder.eigenvalues[j]
-    return LevelSelection(j=j, E_j=e_j, U_of_E=potential_of_energy(ladder, E),
+    return LevelSelection(j=j, E_j=e_j, U_of_E=_level_potential(ladder, j),
                           omega=e_j / params.hbar)
 
 
 def quantized_k(ladder: EnergyLadder, E: float, params: PhysicalParams) -> float:
     """k = sqrt(2 m U(E) / 5 hbar^2) = sqrt(m E_j / 6 hbar^2)."""
-    u = potential_of_energy(ladder, E)
-    return math.sqrt(2.0 * params.mass * u / (5.0 * params.hbar ** 2))
+    return k_from_potential(potential_of_energy(ladder, E), params)
 
 
 def quantized_solution(ladder: EnergyLadder, E: float, branch: Branch,
@@ -145,6 +143,6 @@ def k_jump_trace(ladder: EnergyLadder, energy_schedule: Iterable[float],
     trace = []
     for i, E in enumerate(energy_schedule):
         j = level_index(ladder, E)
-        trace.append(TraceStep(step=i, E=E, j=j,
-                               k=quantized_k(ladder, E, params)))
+        k = k_from_potential(_level_potential(ladder, j), params)
+        trace.append(TraceStep(step=i, E=E, j=j, k=k))
     return trace

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,12 @@ class EnsembleConfig:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.horizon <= 0.0:
             raise DomainError("horizon must be positive")
+        for name in ("seed", "digest_bits"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise DomainError(f"{name} must be >= 0, got {value}")
         self.zero_lifetime  # raises DomainError when epsilon >= e^{-ks}
 
     @property

@@ -34,8 +34,9 @@ class PhysicalParams:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0.0 or self.mass <= 0.0:
-            raise DomainError("hbar and mass must be positive")
+        if not (0.0 < self.hbar < math.inf and 0.0 < self.mass < math.inf):
+            raise DomainError(f"hbar and mass must be positive and finite, "
+                              f"got hbar={self.hbar}, mass={self.mass}")
 
     @property
     def beta(self) -> float:
@@ -127,12 +128,11 @@ def sum_field(a: ZField, b: ZField) -> ZField:
 class Potential:
     """Potential energy term; only constant-in-space potentials are built in."""
 
-    kind: str  # "fixed" or "energy_ladder"
     value_fixed: float
 
     @classmethod
     def fixed(cls, u_f: float) -> "Potential":
-        return cls(kind="fixed", value_fixed=u_f)
+        return cls(value_fixed=u_f)
 
     def at(self, rx: float, ry: float) -> float:
         return self.value_fixed
@@ -188,41 +188,23 @@ def complex_residual(field: ZField, c: CParam, params: PhysicalParams,
 
 def real_residual(field: ZField, c: CParam, params: PhysicalParams,
                   potential: Potential, point: Point, scaled: bool = False) -> float:
-    """Real part (R) of the residual.
+    """Real part (R) of the complex residual.
 
     With ``scaled`` the residual is multiplied by 2m/hbar^2, the
     presentation used for the x=1, y=2 specialization.
     """
-    mod2 = c.modulus_sq()
-    if mod2 == 0.0:
-        raise DomainError("c must be nonzero")
-    rx, ry, _ = point
-    z, _, zx, zy, zxx, zyy = field.partials(point)
-    r = (params.hbar ** 2 / (2.0 * params.mass)) * (
-        zxx + zyy + (c.x - 1.0) / z * (zx * zx + zy * zy)
-    ) - z * c.x / mod2 * potential.at(rx, ry)
-    if scaled:
-        r *= 2.0 * params.mass / params.hbar ** 2
-    return r
+    r = complex_residual(field, c, params, potential, point).real
+    return r * (2.0 * params.mass / params.hbar ** 2) if scaled else r
 
 
 def imag_residual(field: ZField, c: CParam, params: PhysicalParams,
                   potential: Potential, point: Point, scaled: bool = False) -> float:
-    """Imaginary part (I) of the residual.
+    """Imaginary part (I) of the complex residual.
 
     With ``scaled`` the residual is multiplied by m/hbar^2.
     """
-    mod2 = c.modulus_sq()
-    if mod2 == 0.0:
-        raise DomainError("c must be nonzero")
-    rx, ry, _ = point
-    z, zt, zx, zy, _, _ = field.partials(point)
-    r = (params.hbar * zt
-         + (params.hbar ** 2 / (2.0 * params.mass)) * c.y / z * (zx * zx + zy * zy)
-         + z * c.y / mod2 * potential.at(rx, ry))
-    if scaled:
-        r *= params.mass / params.hbar ** 2
-    return r
+    r = complex_residual(field, c, params, potential, point).imag
+    return r * (params.mass / params.hbar ** 2) if scaled else r
 
 
 @dataclass(frozen=True)
@@ -276,7 +258,8 @@ def evaluate_grid(field_: ZField, c: CParam, params: PhysicalParams,
                   potential: Potential,
                   rx_values: Sequence[float], ry_values: Sequence[float],
                   t_values: Sequence[float]) -> GridReport:
-    """Evaluate both residuals on the product grid and aggregate."""
+    """Evaluate the complex residual on the product grid and aggregate its
+    real (R) and imaginary (I) parts."""
     points: list[Point] = []
     rr: list[float] = []
     ri: list[float] = []
@@ -285,8 +268,9 @@ def evaluate_grid(field_: ZField, c: CParam, params: PhysicalParams,
             for t in t_values:
                 p = (rx, ry, t)
                 points.append(p)
-                rr.append(real_residual(field_, c, params, potential, p))
-                ri.append(imag_residual(field_, c, params, potential, p))
+                res = complex_residual(field_, c, params, potential, p)
+                rr.append(res.real)
+                ri.append(res.imag)
     spec = {
         "r_x": [min(rx_values), max(rx_values), len(rx_values)],
         "r_y": [min(ry_values), max(ry_values), len(ry_values)],

@@ -103,14 +103,10 @@ def partials_uv(z: float, c: CParam) -> tuple[float, float, float, float]:
     """
     _require_positive(z)
     lnz = math.log(z)
-    zx = z ** c.x
-    cos_t = math.cos(c.y * lnz)
-    sin_t = math.sin(c.y * lnz)
-    du_dx = zx * lnz * cos_t
-    dv_dy = zx * lnz * cos_t
-    du_dy = -zx * lnz * sin_t
-    dv_dx = zx * lnz * sin_t
-    return du_dx, dv_dy, du_dy, dv_dx
+    r = z ** c.x * lnz
+    du_dx = r * math.cos(c.y * lnz)
+    dv_dx = r * math.sin(c.y * lnz)
+    return du_dx, du_dx, -dv_dx, dv_dx
 
 
 def check_cauchy_riemann(z: float, c: CParam, h: float = STEP_FIRST) -> tuple[float, float]:

@@ -22,11 +22,11 @@ def write_params(tmp_path, data, name="params.json"):
     return str(path)
 
 
-def run_cli_process(*args):
+def run_cli_process(*args, env=None):
     """Run the CLI in a fresh interpreter, so an uncaught exception would
     print its traceback."""
     src = os.path.dirname(os.path.dirname(zvortex.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-m", "zvortex.cli", *args],
                           capture_output=True, text=True, env=env,
                           timeout=60)
@@ -263,3 +263,61 @@ class TestGeometry:
         params = write_params(tmp_path, {"k": 1.0, "n": 5, "z_max": 0.5})
         result = runner.invoke(cli, ["geometry", "--params", params])
         assert result.exit_code == 1
+
+
+TRAJ = {"branch": "one_vortex", "k": 1.0, "s": 1.0, "t_max": 0.3, "steps": 10}
+ENSEMBLE = {"pair_production_rate": 200.0, "ratio_zero_to_one": 1.0, "k": 1.0,
+            "s": 1.0, "beta": 1.0, "horizon": 10.0, "seed": 3}
+
+
+class TestBadInput:
+    """Every bad input ends with exit 1 (domain) or 2 (usage), an error line
+    and no traceback, also in a fresh interpreter."""
+
+    @pytest.mark.parametrize("command,params,args,env,code", [
+        pytest.param("trajectory", {**TRAJ, "steps": 2.5}, [], None, 2,
+                     id="trajectory-steps-float"),
+        pytest.param("trajectory", {**TRAJ, "steps": True}, [], None, 2,
+                     id="trajectory-steps-bool"),
+        pytest.param("trajectory", {**TRAJ, "steps": -1}, [], None, 2,
+                     id="trajectory-steps-negative"),
+        pytest.param("trajectory", {**TRAJ, "hbar": math.nan}, [], None, 2,
+                     id="trajectory-hbar-nan-in-file"),
+        pytest.param("trajectory", TRAJ, ["--hbar", "nan"], None, 1,
+                     id="trajectory-hbar-nan-flag"),
+        pytest.param("ladder", {"eigenvalues": [1.0, "abc", 7.0],
+                                "schedule": [2.0]}, [], None, 2,
+                     id="ladder-eigenvalue-text"),
+        pytest.param("ladder", {"eigenvalues": [1.0, 3.0],
+                                "schedule": [2.0, "abc"]}, [], None, 2,
+                     id="ladder-schedule-text"),
+        pytest.param("ladder", {"eigenvalues": [-2.0, 1.0],
+                                "schedule": [-1.0]}, [], None, 1,
+                     id="ladder-negative-potential"),
+        pytest.param("verify", {}, [], {"ZVORTEX_TOLERANCE": "abc"}, 2,
+                     id="verify-tolerance-env-text"),
+        pytest.param("verify", {}, ["--hbar", "-1"], None, 1,
+                     id="verify-hbar-negative-flag"),
+        pytest.param("geometry", {"k": "abc", "n": 5}, [], None, 2,
+                     id="geometry-k-text"),
+        pytest.param("geometry", {"k": math.nan, "n": 5}, [], None, 2,
+                     id="geometry-k-nan"),
+        pytest.param("geometry", {"k": 1.0, "n": 5, "z_max": 0}, [], None, 2,
+                     id="geometry-z_max-zero"),
+        pytest.param("geometry", {"k": 1.0, "n": 5, "z_max": "abc"}, [], None, 2,
+                     id="geometry-z_max-text"),
+        pytest.param("geometry", {"k": 1.0, "n": 5, "z_min": math.inf}, [],
+                     None, 2, id="geometry-z_min-inf"),
+        pytest.param("ensemble", {**ENSEMBLE, "digest_bits": -3}, [], None, 1,
+                     id="ensemble-digest_bits-negative"),
+        pytest.param("ensemble", {**ENSEMBLE, "digest_bits": 2.5}, [], None, 2,
+                     id="ensemble-digest_bits-float"),
+    ])
+    def test_fresh_interpreter(self, tmp_path, command, params, args, env, code):
+        path = write_params(tmp_path, params)
+        proc = run_cli_process(command, "--params", path, *args, env=env)
+        output = proc.stdout + proc.stderr
+        assert proc.returncode == code, output
+        assert "Traceback" not in output
+        assert any(line.lower().startswith("error:")
+                   for line in proc.stderr.splitlines()), output

@@ -48,6 +48,11 @@ class TestLadderType:
         lad = EnergyLadder.from_json('{"eigenvalues": [1, 3, 7]}')
         assert lad.eigenvalues == (1.0, 3.0, 7.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            EnergyLadder((1.0, bad))
+
 
 class TestEnergyRelation:
     def test_zero(self):
@@ -83,6 +88,28 @@ class TestLevelIndex:
                 level_index(ladder, E)
         else:
             assert level_index(ladder, E) == expect
+
+    @given(data=st.data(), ladder=ladders)
+    @settings(max_examples=300)
+    def test_bisection_matches_step_sum(self, data, ladder):
+        # Exact eigenvalue hits, their neighbouring floats, NaN and the
+        # infinities, besides arbitrary E.
+        e_i = data.draw(st.sampled_from(ladder.eigenvalues))
+        E = data.draw(st.one_of(
+            st.just(e_i), st.just(math.nextafter(e_i, -math.inf)),
+            st.just(math.nextafter(e_i, math.inf)),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+            st.floats(min_value=-10.0, max_value=200.0)))
+        expect = brute_force_index(ladder, E)
+        if expect is None:
+            with pytest.raises(BelowLadderError):
+                level_index(ladder, E)
+        else:
+            assert level_index(ladder, E) == expect
+
+    def test_nan_is_below_ladder(self):
+        with pytest.raises(BelowLadderError):
+            level_index(EnergyLadder((1.0, 3.0)), math.nan)
 
     def test_step_convention(self):
         assert unit_step(0.0) == 1.0
@@ -134,6 +161,11 @@ class TestQuantizedSolution:
         via_potential = quantized_k(ladder, E, NAT)
         via_eigenvalue = math.sqrt(NAT.mass * e_j / (6.0 * NAT.hbar ** 2))
         assert via_potential == pytest.approx(via_eigenvalue, rel=1e-12)
+
+    def test_negative_potential_is_domain_error(self):
+        # E_0 < 0 gives U(E) < 0, for which k has no real value.
+        with pytest.raises(DomainError, match="non-negative"):
+            quantized_k(EnergyLadder((-2.0, 1.0)), -1.0, NAT)
 
     def test_omega_relation(self):
         sel = select_level(EnergyLadder((1.0, 3.0, 7.0)), 5.0, NAT)

@@ -99,6 +99,16 @@ class TestConfig:
         with pytest.raises(DomainError, match=name):
             make_config(**{name: value})
 
+    @pytest.mark.parametrize("name", ["seed", "digest_bits"])
+    def test_negative_count_rejected(self, name):
+        with pytest.raises(DomainError, match=name):
+            make_config(**{name: -3})
+
+    @pytest.mark.parametrize("value", [2.5, True, "8"])
+    def test_non_integer_digest_bits_rejected(self, value):
+        with pytest.raises(TypeError, match="digest_bits"):
+            make_config(digest_bits=value)
+
     def test_lifetimes_match_vortex_closed_forms(self):
         for k, s, beta, eps in [(1.0, 1.0, 1.0, 1e-6), (0.4, 2.5, 0.7, 1e-3),
                                 (1.7, 0.3, 2.2, 0.5)]:

@@ -1,8 +1,11 @@
 import cmath
 import json
 import math
+from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zvortex import (
     CParam,
@@ -42,6 +45,39 @@ def fd_psi_partials(field, c, point, h1=1e-6, h2=1e-4):
     return p_t, p_x, p_y, p_xx, p_yy
 
 
+# The (R) and (I) residuals written out term by term, as the package had
+# them before they became the real and imaginary parts of complex_residual.
+# Kept verbatim as an oracle.
+def written_out_real_residual(field: ZField, c: CParam, params: PhysicalParams,
+                              potential: Potential, point, scaled: bool = False) -> float:
+    mod2 = c.modulus_sq()
+    if mod2 == 0.0:
+        raise DomainError("c must be nonzero")
+    rx, ry, _ = point
+    z, _, zx, zy, zxx, zyy = field.partials(point)
+    r = (params.hbar ** 2 / (2.0 * params.mass)) * (
+        zxx + zyy + (c.x - 1.0) / z * (zx * zx + zy * zy)
+    ) - z * c.x / mod2 * potential.at(rx, ry)
+    if scaled:
+        r *= 2.0 * params.mass / params.hbar ** 2
+    return r
+
+
+def written_out_imag_residual(field: ZField, c: CParam, params: PhysicalParams,
+                              potential: Potential, point, scaled: bool = False) -> float:
+    mod2 = c.modulus_sq()
+    if mod2 == 0.0:
+        raise DomainError("c must be nonzero")
+    rx, ry, _ = point
+    z, zt, zx, zy, _, _ = field.partials(point)
+    r = (params.hbar * zt
+         + (params.hbar ** 2 / (2.0 * params.mass)) * c.y / z * (zx * zx + zy * zy)
+         + z * c.y / mod2 * potential.at(rx, ry))
+    if scaled:
+        r *= params.mass / params.hbar ** 2
+    return r
+
+
 def one_vortex_field(k=1.0, beta=1.0):
     return exponential_field(k, k, -3.0 * k * k * beta)
 
@@ -53,6 +89,15 @@ def zero_vortex_field(k=1.0, beta=1.0):
 def real_eq_field(k=1.0, sign=1):
     a = sign * k / math.sqrt(2.0)
     return exponential_field(a, a, 0.0)
+
+
+class TestPhysicalParams:
+    @pytest.mark.parametrize("kw", [{"hbar": math.nan}, {"mass": math.nan},
+                                    {"hbar": math.inf}, {"mass": -math.inf},
+                                    {"hbar": 0.0}, {"mass": -1.0}])
+    def test_rejects_non_positive_and_non_finite(self, kw):
+        with pytest.raises(DomainError, match="positive and finite"):
+            PhysicalParams(**kw)
 
 
 class TestPsiPartials:
@@ -222,7 +267,61 @@ class TestResiduals:
         assert abs(schrodinger_residual_of_psi(combo, p)) < 1e-5
 
 
+coef = st.floats(min_value=-2.0, max_value=2.0)
+unit = st.floats(min_value=0.1, max_value=10.0)
+
+
+class TestResidualParts:
+    @given(a_x=coef, a_y=coef, a_t=coef, scale=unit,
+           cx=st.floats(min_value=-3.0, max_value=3.0),
+           cy=st.floats(min_value=-3.0, max_value=3.0),
+           hbar=unit, mass=unit, u_f=st.floats(min_value=-10.0, max_value=10.0),
+           point=st.tuples(coef, coef, coef), scaled=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_parts_match_written_out_residuals(self, a_x, a_y, a_t, scale, cx,
+                                               cy, hbar, mass, u_f, point, scaled):
+        c = CParam(cx, cy)
+        if c.modulus_sq() < 1e-6:
+            return
+        fld = exponential_field(a_x, a_y, a_t, scale)
+        params = PhysicalParams(hbar, mass)
+        pot = Potential.fixed(u_f)
+        r = real_residual(fld, c, params, pot, point, scaled=scaled)
+        i = imag_residual(fld, c, params, pot, point, scaled=scaled)
+        assert r == written_out_real_residual(fld, c, params, pot, point, scaled)
+        z, zt, zx, zy, _, _ = fld.partials(point)
+        term_scale = (abs(hbar * zt)
+                      + abs(hbar ** 2 / (2 * mass) * cy / z * (zx * zx + zy * zy))
+                      + abs(z * cy / c.modulus_sq() * u_f))
+        if scaled:
+            term_scale *= mass / hbar ** 2
+        want = written_out_imag_residual(fld, c, params, pot, point, scaled)
+        assert abs(i - want) <= 1e-13 * term_scale
+
+
+@dataclass(frozen=True)
+class CountingField(ZField):
+    """A field that records every point its partials are taken at."""
+
+    seen: list = field(default_factory=list)
+
+    def partials(self, point):
+        self.seen.append(point)
+        return super().partials(point)
+
+
 class TestGridReport:
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_one_partials_call_per_point(self, analytic):
+        base = one_vortex_field(k=1.0)
+        fld = (CountingField(**{k: getattr(base, k) for k in
+                                ("value", "z_t", "z_x", "z_y", "z_xx", "z_yy")})
+               if analytic else CountingField(value=base.value))
+        report = evaluate_grid(fld, C12, NAT, Potential.fixed(2.5),
+                               [0.1, 0.5], [0.2, 0.3, 0.4], [0.0, 0.1])
+        assert len(report.points) == 12
+        assert fld.seen == list(report.points)
+
     def test_solution_grid_is_clean(self):
         field = one_vortex_field(k=1.0)
         pot = Potential.fixed(2.5)
