@@ -14,6 +14,7 @@ import os
 import sys
 
 import click
+import numpy as np
 
 from . import energy as energy_mod
 from . import ensemble as ensemble_mod
@@ -112,23 +113,33 @@ def cli():
     """Numerical checks and simulators for complex-power vortex waves."""
 
 
-_common = [
-    click.option("--params", "params_path", type=click.Path(), default=None,
-                 help="JSON parameter file; flags override file values."),
-    click.option("--out", "out_path", type=click.Path(), default=None,
-                 help="Output file (default: stdout)."),
-    click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                 default="csv", help="Output format."),
-    click.option("--hbar", type=float, default=None),
-    click.option("--mass", type=float, default=None),
-    click.option("--seed", type=int, default=None),
-]
+def _options(*options):
+    """Decorator that adds the given click options in order."""
+    def decorate(f):
+        for opt in reversed(options):
+            f = opt(f)
+        return f
+    return decorate
 
 
-def common_options(f):
-    for opt in reversed(_common):
-        f = opt(f)
-    return f
+def _io_options(default_format: str):
+    """--params, --out and --format, which every command takes."""
+    return (
+        click.option("--params", "params_path", type=click.Path(), default=None,
+                     help="JSON parameter file; flags override file values."),
+        click.option("--out", "out_path", type=click.Path(), default=None,
+                     help="Output file (default: stdout)."),
+        click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                     default=default_format, help="Output format."),
+    )
+
+
+# Only the commands that use hbar and mass (or the seed) accept the flag.
+_hbar_mass = (
+    click.option("--hbar", type=float, default=None, help="Overrides hbar."),
+    click.option("--mass", type=float, default=None, help="Overrides mass."),
+)
+_seed = click.option("--seed", type=int, default=None, help="Overrides seed.")
 
 
 def _physical(params: dict, hbar: float | None, mass: float | None) -> sf.PhysicalParams:
@@ -160,17 +171,11 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
 
     checks = []
 
-    cr_max = 0.0
-    lap_max = 0.0
-    for z in z_values:
-        for x in x_values:
-            for y in y_values:
-                c = CParam(x, y)
-                r1, r2 = wc.check_cauchy_riemann(z, c, h1)
-                cr_max = max(cr_max, r1, r2)
-                ru, rv = wc.laplace_residual(z, c, h2)
-                scale = z ** x
-                lap_max = max(lap_max, ru / scale, rv / scale)
+    z, x, y = np.meshgrid(z_values, x_values, y_values, indexing="ij")
+    c = CParam(x, y)
+    cr_max = float(np.max(wc.check_cauchy_riemann(z, c, h1), initial=0.0))
+    lap_max = float(np.max(np.divide(wc.laplace_residual(z, c, h2), z ** x),
+                           initial=0.0))
     checks.append({"name": "cauchy_riemann", "max_residual": cr_max,
                    "tolerance": cr_tol, "pass": cr_max <= cr_tol})
     checks.append({"name": "laplace", "max_residual": lap_max,
@@ -218,8 +223,8 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
 
 
 @cli.command("verify")
-@common_options
-def cmd_verify(params_path, out_path, fmt, hbar, mass, seed):
+@_options(*_io_options("csv"), *_hbar_mass)
+def cmd_verify(params_path, out_path, fmt, hbar, mass):
     """Run the full analyticity and residual property grid."""
     params = _load_params(params_path)
     checks = _verify_checks(params, _physical(params, hbar, mass))
@@ -240,8 +245,8 @@ def cmd_verify(params_path, out_path, fmt, hbar, mass, seed):
 
 
 @cli.command("trajectory")
-@common_options
-def cmd_trajectory(params_path, out_path, fmt, hbar, mass, seed):
+@_options(*_io_options("csv"), *_hbar_mass)
+def cmd_trajectory(params_path, out_path, fmt, hbar, mass):
     """Sample the (u, v)-plane vortex trajectory."""
     params = _load_params(params_path)
     phys = _physical(params, hbar, mass)
@@ -283,8 +288,8 @@ def cmd_trajectory(params_path, out_path, fmt, hbar, mass, seed):
 
 
 @cli.command("ladder")
-@common_options
-def cmd_ladder(params_path, out_path, fmt, hbar, mass, seed):
+@_options(*_io_options("csv"), *_hbar_mass)
+def cmd_ladder(params_path, out_path, fmt, hbar, mass):
     """Trace the quantized k along an energy schedule."""
     params = _load_params(params_path)
     phys = _physical(params, hbar, mass)
@@ -303,11 +308,14 @@ def cmd_ladder(params_path, out_path, fmt, hbar, mass, seed):
 
 
 @cli.command("ensemble")
-@common_options
-@click.option("--bits-out", type=click.Path(), default=None,
-              help="Write the emitted bit stream to this file.")
-def cmd_ensemble(params_path, out_path, fmt, hbar, mass, seed, bits_out):
-    """Simulate a population of vortex pairs and report bit statistics."""
+@_options(*_io_options("json"), _seed,
+          click.option("--bits-out", type=click.Path(), default=None,
+                       help="Write the emitted bit stream to this file."))
+def cmd_ensemble(params_path, out_path, fmt, seed, bits_out):
+    """Simulate a population of vortex pairs and report bit statistics.
+
+    The report is JSON by default; ``--format csv`` gives a header row and
+    one value row, with the report's keys in sorted order."""
     params = _load_params(params_path)
     if seed is not None:
         params["seed"] = seed
@@ -318,15 +326,23 @@ def cmd_ensemble(params_path, out_path, fmt, hbar, mass, seed, bits_out):
     result = ensemble_mod.simulate(config)
     if bits_out:
         _emit(bits_out, result.bit_stream, "\n")
-    _emit(out_path, result.report.to_json(), "\n")
+    if fmt == "json":
+        _emit(out_path, result.report.to_json(), "\n")
+    else:
+        report = result.report.to_dict()
+        keys = sorted(report)
+        values = (report[k] for k in keys)
+        _emit(out_path, ",".join(keys), "\n",
+              ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values),
+              "\n")
 
 
 # -------------------------------------------------------------- geometry
 
 
 @cli.command("geometry")
-@common_options
-def cmd_geometry(params_path, out_path, fmt, hbar, mass, seed):
+@_options(*_io_options("csv"))
+def cmd_geometry(params_path, out_path, fmt):
     """Sample the gradient-map segments, involution images, and squared ray."""
     params = _load_params(params_path)
     k = _number(params, "k", 1.0)

@@ -7,23 +7,33 @@ potential U yields a single complex residual in z,
         - (z/c) U = 0,
 
 whose real and imaginary parts separate into the (R) and (I) equations.
-The residual functions here evaluate those expressions pointwise for any
-candidate field; a field solves an equation exactly when the corresponding
-residual vanishes.
+The residual functions here evaluate those expressions for any candidate
+field; a field solves an equation exactly when the corresponding residual
+vanishes.
+
+Everything works elementwise on numpy arrays. A ``ZField`` callable takes
+r_x, r_y and t as scalars or as arrays of one broadcast shape and returns
+z (or a partial) elementwise; a scalar result stands for a constant.
+``ZField.partials`` and ``complex_residual`` take a point whose
+coordinates are scalars or such arrays. ``evaluate_grid`` takes the
+partials once for a whole lattice, and ``GridReport`` holds its points and
+residuals as numpy arrays.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TextIO
 
-from .wavecore import CParam, DomainError, STEP_FIRST, STEP_SECOND
+import numpy as np
 
-ScalarField = Callable[[float, float, float], float]
-Point = tuple[float, float, float]
+from .wavecore import CParam, DomainError, STEP_FIRST, STEP_SECOND, psi_values
+
+# Callables and points take floats or numpy arrays of one broadcast shape.
+ScalarField = Callable[..., "float | np.ndarray"]
+Point = tuple  # (r_x, r_y, t)
 
 
 @dataclass(frozen=True)
@@ -50,8 +60,9 @@ NATURAL_UNITS = PhysicalParams()
 class ZField:
     """Positive scalar field z(r_x, r_y, t) with optional analytic partials.
 
-    When a partial derivative callable is absent it is computed by central
-    finite differences of ``value`` (second order, steps ``h1``/``h2``).
+    Every callable must work elementwise on numpy arrays. When a partial
+    derivative callable is absent it is computed by central finite
+    differences of ``value`` (second order, steps ``h1``/``h2``).
     """
 
     value: ScalarField
@@ -63,15 +74,18 @@ class ZField:
     h1: float = STEP_FIRST
     h2: float = STEP_SECOND
 
-    def __call__(self, rx: float, ry: float, t: float) -> float:
+    def __call__(self, rx, ry, t):
         return self.value(rx, ry, t)
 
-    def partials(self, point: Point) -> tuple[float, float, float, float, float, float]:
-        """Return (z, z_t, z_x, z_y, z_xx, z_yy) at the point."""
+    def partials(self, point: Point) -> tuple:
+        """Return (z, z_t, z_x, z_y, z_xx, z_yy) at the point.
+
+        The coordinates of ``point`` may be arrays; the partials are then
+        taken at every point of their broadcast shape at once.
+        """
         rx, ry, t = point
         z = self.value(rx, ry, t)
-        if z <= 0.0:
-            raise DomainError(f"field must be positive, got z={z} at {point}")
+        _require_positive_field(z, point)
         f = self.value
         h1, h2 = self.h1, self.h2
         zt = self.z_t(rx, ry, t) if self.z_t else (
@@ -91,7 +105,20 @@ class ZField:
                    for p in (self.z_t, self.z_x, self.z_y, self.z_xx, self.z_yy))
 
 
+def _require_positive_field(z, point: Point) -> None:
+    """Reject a z that is not positive (NaN included), naming the first
+    offending point."""
+    bad = ~(np.asarray(z) > 0.0)
+    if bad.any():
+        zb, *pb = np.broadcast_arrays(z, *point)
+        i = np.flatnonzero(np.broadcast_to(bad, zb.shape))[0]
+        where = tuple(float(c.flat[i]) for c in pb)
+        raise DomainError(f"field must be positive, got z={float(zb.flat[i])} "
+                          f"at {where}")
+
+
 def constant_field(z0: float = 1.0) -> ZField:
+    """z = z0 everywhere; the callables return scalars, which broadcast."""
     zero = lambda rx, ry, t: 0.0
     return ZField(value=lambda rx, ry, t: z0,
                   z_t=zero, z_x=zero, z_y=zero, z_xx=zero, z_yy=zero)
@@ -99,7 +126,7 @@ def constant_field(z0: float = 1.0) -> ZField:
 
 def exponential_field(a_x: float, a_y: float, a_t: float, scale: float = 1.0) -> ZField:
     """z = scale * exp(a_x r_x + a_y r_y + a_t t) with analytic partials."""
-    val = lambda rx, ry, t: scale * math.exp(a_x * rx + a_y * ry + a_t * t)
+    val = lambda rx, ry, t: scale * np.exp(a_x * rx + a_y * ry + a_t * t)
     return ZField(
         value=val,
         z_t=lambda rx, ry, t: a_t * val(rx, ry, t),
@@ -151,7 +178,7 @@ def psi_partials(field: ZField, c: CParam, point: Point
     """
     z, zt, zx, zy, zxx, zyy = field.partials(point)
     cc = c.as_complex()
-    psi = _psi_of_z(z, cc)
+    psi = psi_values(z, c.x, c.y)
     over_z = cc / z
     quad = cc * (cc - 1.0) / (z * z)
     return (
@@ -163,27 +190,28 @@ def psi_partials(field: ZField, c: CParam, point: Point
     )
 
 
-def _psi_of_z(z: float, cc: complex) -> complex:
-    return cmath.exp(cc * math.log(z))
-
-
 def complex_residual(field: ZField, c: CParam, params: PhysicalParams,
-                     potential: Potential, point: Point) -> complex:
-    """Complex Schrodinger residual in z at a point.
+                     potential: Potential, point: Point):
+    """Complex Schrodinger residual in z at a point, or elementwise at the
+    points of array coordinates.
 
     The potential multiplier z/c is evaluated as z c* / (x^2 + y^2) to keep
-    the real/imaginary split explicit.
+    the real/imaginary split explicit. Each part is computed in real
+    arithmetic, so (R) is exactly the written-out real equation.
     """
     mod2 = c.modulus_sq()
     if mod2 == 0.0:
         raise DomainError("c must be nonzero")
     rx, ry, _ = point
     z, zt, zx, zy, zxx, zyy = field.partials(point)
-    cc = c.as_complex()
-    kin = (params.hbar ** 2 / (2.0 * params.mass)) * (
-        zxx + zyy + (cc - 1.0) / z * (zx * zx + zy * zy))
-    pot = z * c.conjugate().as_complex() / mod2 * potential.at(rx, ry)
-    return 1j * params.hbar * zt + kin - pot
+    kin = params.hbar ** 2 / (2.0 * params.mass)
+    grad2 = zx * zx + zy * zy
+    u = potential.at(rx, ry)
+    re = kin * (zxx + zyy + (c.x - 1.0) / z * grad2) - z * c.x / mod2 * u
+    im = params.hbar * zt + kin * c.y / z * grad2 + z * c.y / mod2 * u
+    res = np.empty(np.broadcast(re, im).shape, complex)
+    res.real, res.imag = re, im
+    return res if res.ndim else complex(res)
 
 
 def real_residual(field: ZField, c: CParam, params: PhysicalParams,
@@ -207,38 +235,43 @@ def imag_residual(field: ZField, c: CParam, params: PhysicalParams,
     return r * (params.mass / params.hbar ** 2) if scaled else r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridReport:
-    """Residuals sampled on a rectangular (r_x, r_y, t) lattice."""
+    """Residuals sampled on a rectangular (r_x, r_y, t) lattice.
 
-    points: tuple[Point, ...]
-    residual_real: tuple[float, ...]
-    residual_imag: tuple[float, ...]
+    ``points`` is an (n, 3) float array of (r_x, r_y, t) rows, r_x-major
+    and t-minor; ``residual_real`` and ``residual_imag`` are (n,) float
+    arrays, row for row.
+    """
+
+    points: np.ndarray
+    residual_real: np.ndarray
+    residual_imag: np.ndarray
     grid_spec: dict = field(default_factory=dict)
 
     @property
     def max_abs_real(self) -> float:
-        return max((abs(r) for r in self.residual_real), default=0.0)
+        return float(np.max(np.abs(self.residual_real), initial=0.0))
 
     @property
     def max_abs_imag(self) -> float:
-        return max((abs(r) for r in self.residual_imag), default=0.0)
+        return float(np.max(np.abs(self.residual_imag), initial=0.0))
 
     @property
     def mean_abs_real(self) -> float:
-        n = len(self.residual_real)
-        return sum(abs(r) for r in self.residual_real) / n if n else 0.0
+        return float(np.mean(np.abs(self.residual_real))) if len(self.points) else 0.0
 
     @property
     def mean_abs_imag(self) -> float:
-        n = len(self.residual_imag)
-        return sum(abs(r) for r in self.residual_imag) / n if n else 0.0
+        return float(np.mean(np.abs(self.residual_imag))) if len(self.points) else 0.0
 
     def write_csv(self, out: TextIO) -> None:
         out.write("r_x,r_y,t,residual_real,residual_imag\n")
-        for (rx, ry, t), rr, ri in zip(self.points, self.residual_real,
-                                       self.residual_imag):
-            out.write(f"{rx:.17g},{ry:.17g},{t:.17g},{rr:.17g},{ri:.17g}\n")
+        # Row by row: formatting the whole report into one string fragments
+        # the heap and grows a long-running process.
+        row = "{0[0]:.17g},{0[1]:.17g},{0[2]:.17g},{1:.17g},{2:.17g}\n".format
+        out.writelines(map(row, self.points.tolist(), self.residual_real.tolist(),
+                           self.residual_imag.tolist()))
 
     def summary(self) -> dict:
         return {
@@ -259,22 +292,19 @@ def evaluate_grid(field_: ZField, c: CParam, params: PhysicalParams,
                   rx_values: Sequence[float], ry_values: Sequence[float],
                   t_values: Sequence[float]) -> GridReport:
     """Evaluate the complex residual on the product grid and aggregate its
-    real (R) and imaginary (I) parts."""
-    points: list[Point] = []
-    rr: list[float] = []
-    ri: list[float] = []
-    for rx in rx_values:
-        for ry in ry_values:
-            for t in t_values:
-                p = (rx, ry, t)
-                points.append(p)
-                res = complex_residual(field_, c, params, potential, p)
-                rr.append(res.real)
-                ri.append(res.imag)
+    real (R) and imaginary (I) parts.
+
+    The lattice is one array of points, r_x-major and t-minor, and the
+    partials of the field are taken once for all of them.
+    """
+    axes = [np.asarray(v, dtype=float) for v in (rx_values, ry_values, t_values)]
+    points = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+    res = complex_residual(field_, c, params, potential, tuple(points.T))
+    res = np.broadcast_to(res, len(points))
     spec = {
         "r_x": [min(rx_values), max(rx_values), len(rx_values)],
         "r_y": [min(ry_values), max(ry_values), len(ry_values)],
         "t": [min(t_values), max(t_values), len(t_values)],
     }
-    return GridReport(points=tuple(points), residual_real=tuple(rr),
-                      residual_imag=tuple(ri), grid_spec=spec)
+    return GridReport(points=points, residual_real=np.ascontiguousarray(res.real),
+                      residual_imag=np.ascontiguousarray(res.imag), grid_spec=spec)

@@ -63,10 +63,12 @@ class VortexSolution:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.k <= 0.0:
-            raise DomainError(f"k must be positive, got {self.k}")
-        if self.beta <= 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.k < math.inf:
+            raise DomainError(f"k must be positive and finite, got {self.k}")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError(f"beta must be positive and finite, got {self.beta}")
+        if not math.isfinite(self.s):
+            raise DomainError(f"s must be finite, got {self.s}")
         if self.s == 0.0:
             raise DomainError("s = r_x + r_y must be nonzero")
         if self.s < 0.0:

@@ -5,14 +5,21 @@ All operations here are pure functions over immutable values: pointwise
 evaluation, analytic partial derivatives in (x, y), finite-difference
 Cauchy-Riemann and Laplace checks, and contour quadrature over circles in
 the c-plane.
+
+``psi_values`` is the one kernel that evaluates psi = exp(c ln z). It works
+elementwise on numpy arrays, and so do ``eval_psi`` and the two stencil
+checks built on it: z and the components of c may be scalars or arrays of
+one broadcast shape, so a whole (z, x, y) lattice is checked in one call.
+Each contour quadrature is one numpy sum over its nodes.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -21,7 +28,8 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class CParam:
-    """Complex exponent c = x + iy."""
+    """Complex exponent c = x + iy (x and y may be arrays of one shape,
+    where an operation says so)."""
 
     x: float
     y: float
@@ -38,7 +46,7 @@ class CParam:
 
 @dataclass(frozen=True)
 class WaveValue:
-    """Point value psi = u + iv."""
+    """Point value psi = u + iv (u and v are arrays for array inputs)."""
 
     u: float
     v: float
@@ -84,15 +92,33 @@ STEP_SECOND = 1e-4
 MIN_CONTOUR_POINTS = 64
 
 
-def _require_positive(z: float) -> None:
-    if z <= 0.0:
-        raise DomainError(f"z must be positive for the real-log branch, got {z}")
+def _require_positive(z) -> None:
+    """Reject any z that is not positive (NaN included), naming the first."""
+    z = np.asarray(z)
+    bad = ~(z > 0.0)
+    if bad.any():
+        raise DomainError(
+            f"z must be positive for the real-log branch, got {z[bad].flat[0]}")
 
 
-def eval_psi(z: float, c: CParam) -> WaveValue:
-    """Evaluate psi = z**c = z**x * (cos(y ln z) + i sin(y ln z))."""
+def psi_values(z, x, y):
+    """psi = exp((x + iy) ln z), elementwise over broadcastable z, x, y.
+
+    The one evaluation kernel of the module: the exponent's real and
+    imaginary parts are x ln z and y ln z, as in the scalar product
+    c * ln z.
+    """
     _require_positive(z)
-    return WaveValue.from_complex(cmath.exp(c.as_complex() * math.log(z)))
+    lnz = np.log(z)
+    return np.exp(x * lnz + 1j * (y * lnz))
+
+
+def eval_psi(z, c: CParam) -> WaveValue:
+    """Evaluate psi = z**c = z**x * (cos(y ln z) + i sin(y ln z)).
+
+    z, c.x and c.y may be numpy arrays; u and v then hold psi elementwise.
+    """
+    return WaveValue.from_complex(psi_values(z, c.x, c.y))
 
 
 def partials_uv(z: float, c: CParam) -> tuple[float, float, float, float]:
@@ -109,11 +135,12 @@ def partials_uv(z: float, c: CParam) -> tuple[float, float, float, float]:
     return du_dx, du_dx, -dv_dx, dv_dx
 
 
-def check_cauchy_riemann(z: float, c: CParam, h: float = STEP_FIRST) -> tuple[float, float]:
+def check_cauchy_riemann(z, c: CParam, h: float = STEP_FIRST) -> tuple:
     """Finite-difference Cauchy-Riemann residuals (|u_x - v_y|, |u_y + v_x|).
 
     Central differences of eval_psi over the exponent components; both
-    residuals are pure discretization error, O(h**2).
+    residuals are pure discretization error, O(h**2). Elementwise over
+    array z, c.x and c.y.
     """
     _require_positive(z)
     if not 0.0 < h < 0.1:
@@ -129,23 +156,22 @@ def check_cauchy_riemann(z: float, c: CParam, h: float = STEP_FIRST) -> tuple[fl
     return abs(du_dx - dv_dy), abs(du_dy + dv_dx)
 
 
-def dpsi_dc(z: float, c: CParam) -> WaveValue:
+def dpsi_dc(z, c: CParam) -> WaveValue:
     """First derivative of psi with respect to c: (ln z) * psi."""
-    _require_positive(z)
-    return WaveValue.from_complex(math.log(z) * eval_psi(z, c).as_complex())
+    return WaveValue.from_complex(psi_values(z, c.x, c.y) * np.log(z))
 
 
-def d2psi_dc2(z: float, c: CParam) -> WaveValue:
+def d2psi_dc2(z, c: CParam) -> WaveValue:
     """Second derivative of psi with respect to c: (ln z)**2 * psi."""
-    _require_positive(z)
-    return WaveValue.from_complex(math.log(z) ** 2 * eval_psi(z, c).as_complex())
+    return WaveValue.from_complex(psi_values(z, c.x, c.y) * np.log(z) ** 2)
 
 
-def laplace_residual(z0: float, c0: CParam, h: float = STEP_SECOND) -> tuple[float, float]:
+def laplace_residual(z0, c0: CParam, h: float = STEP_SECOND) -> tuple:
     """Five-point-stencil Laplacian residuals of u and v over (x, y).
 
     Both components of an analytic function are harmonic, so the residuals
-    vanish up to discretization error.
+    vanish up to discretization error. Elementwise over array z0, c0.x and
+    c0.y.
     """
     _require_positive(z0)
     center = eval_psi(z0, c0)
@@ -159,6 +185,16 @@ def laplace_residual(z0: float, c0: CParam, h: float = STEP_SECOND) -> tuple[flo
     return abs(lap_u), abs(lap_v)
 
 
+def _contour_nodes(center: CParam, radius: float, n_points: int):
+    """Nodes c_j = center + radius e^{i theta_j} of the n-point trapezoid
+    rule on a circle, and the weights i (c_j - center) dtheta of dc."""
+    if radius <= 0.0:
+        raise DomainError(f"radius must be positive, got {radius}")
+    dtheta = 2.0 * math.pi / n_points
+    offset = radius * np.exp(1j * (np.arange(n_points) * dtheta))
+    return center.x + offset.real, center.y + offset.imag, 1j * offset * dtheta
+
+
 def contour_integral(
     z: float, center: CParam, radius: float, n_points: int = 1024
 ) -> ContourResult:
@@ -169,20 +205,10 @@ def contour_integral(
     the returned magnitude is quadrature error only. Uniform sampling of a
     periodic integrand makes the trapezoid rule spectrally accurate.
     """
-    _require_positive(z)
-    if radius <= 0.0:
-        raise DomainError(f"radius must be positive, got {radius}")
-    lnz = math.log(z)
-    c0 = center.as_complex()
-    total = 0j
-    dtheta = 2.0 * math.pi / n_points
-    for j in range(n_points):
-        theta = j * dtheta
-        offset = radius * cmath.exp(1j * theta)
-        total += cmath.exp((c0 + offset) * lnz) * (1j * offset)
-    total *= dtheta
+    x, y, dc = _contour_nodes(center, radius, n_points)
+    total = np.sum(psi_values(z, x, y) * dc)
     return ContourResult(
-        value=WaveValue.from_complex(total),
+        value=WaveValue.from_complex(complex(total)),
         accuracy_warning=n_points < MIN_CONTOUR_POINTS,
     )
 
@@ -194,23 +220,11 @@ def cauchy_formula(
 
     ``a`` must lie strictly inside the contour.
     """
-    _require_positive(z)
-    if radius <= 0.0:
-        raise DomainError(f"radius must be positive, got {radius}")
-    ac = a.as_complex()
-    c0 = center.as_complex()
-    if abs(ac - c0) >= radius:
+    x, y, dc = _contour_nodes(center, radius, n_points)
+    if math.hypot(a.x - center.x, a.y - center.y) >= radius:
         raise DomainError("evaluation point must lie strictly inside the contour")
-    lnz = math.log(z)
-    total = 0j
-    dtheta = 2.0 * math.pi / n_points
-    for j in range(n_points):
-        theta = j * dtheta
-        offset = radius * cmath.exp(1j * theta)
-        cj = c0 + offset
-        total += cmath.exp(cj * lnz) / (cj - ac) * (1j * offset)
-    total *= dtheta / (2j * math.pi)
-    return WaveValue.from_complex(total)
+    total = np.sum(psi_values(z, x, y) / (x - a.x + 1j * (y - a.y)) * dc)
+    return WaveValue.from_complex(complex(total) / (2j * math.pi))
 
 
 def normalizability(z: float, x: float) -> NormalizabilityDomain:

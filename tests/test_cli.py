@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -162,6 +163,35 @@ class TestEnsemble:
         assert set(stream) <= {"0", "1"}
         assert len(stream) == report["emitted_zero"] + report["emitted_one"]
 
+    def test_csv_round_trips_json(self, runner, tmp_path):
+        params = write_params(tmp_path, self.config())
+        as_json = runner.invoke(cli, ["ensemble", "--params", params,
+                                      "--format", "json"])
+        as_csv = runner.invoke(cli, ["ensemble", "--params", params,
+                                     "--format", "csv"])
+        assert as_json.exit_code == as_csv.exit_code == 0
+        report = json.loads(as_json.output)
+        lines = as_csv.output.splitlines()
+        assert len(lines) == 2
+        assert lines[0].split(",") == sorted(report)
+        row = next(csv.DictReader(lines))
+        for key, value in report.items():
+            if isinstance(value, str):
+                assert row[key] == value
+            elif isinstance(value, int):
+                assert row[key] == str(value)
+            else:
+                assert row[key] == f"{value:.17g}"
+                assert float(row[key]) == value
+
+    def test_default_format_is_json(self, runner, tmp_path):
+        params = write_params(tmp_path, self.config())
+        default = runner.invoke(cli, ["ensemble", "--params", params])
+        as_json = runner.invoke(cli, ["ensemble", "--params", params,
+                                      "--format", "json"])
+        assert default.exit_code == 0
+        assert default.output == as_json.output
+
     def test_seed_flag_overrides_file(self, runner, tmp_path):
         params = write_params(tmp_path, self.config())
         a = runner.invoke(cli, ["ensemble", "--params", params, "--seed", "11"])
@@ -321,3 +351,22 @@ class TestBadInput:
         assert "Traceback" not in output
         assert any(line.lower().startswith("error:")
                    for line in proc.stderr.splitlines()), output
+
+
+class TestFlags:
+    """A flag is accepted only by the commands that use it."""
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("verify", "--seed", "3"),
+        ("trajectory", "--seed", "3"),
+        ("ladder", "--seed", "3"),
+        ("ensemble", "--hbar", "2.0"),
+        ("ensemble", "--mass", "2.0"),
+        ("geometry", "--hbar", "2.0"),
+        ("geometry", "--mass", "2.0"),
+        ("geometry", "--seed", "3"),
+    ])
+    def test_unused_flag_is_usage_error(self, runner, command, flag, value):
+        result = runner.invoke(cli, [command, flag, value])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and flag in result.output

@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -310,9 +311,24 @@ class CountingField(ZField):
         return super().partials(point)
 
 
+axis = st.lists(coef, min_size=1, max_size=4)
+FIELD_KINDS = ("analytic", "finite_difference", "sum", "sum_finite_difference")
+
+
+def make_field(kind, a, b):
+    """An exponential field (or a sum of two), with analytic partials or
+    with finite differences only."""
+    fld = exponential_field(*a)
+    if kind.startswith("sum"):
+        fld = sum_field(fld, exponential_field(*b))
+    return ZField(value=fld.value) if kind.endswith("finite_difference") else fld
+
+
 class TestGridReport:
     @pytest.mark.parametrize("analytic", [True, False])
-    def test_one_partials_call_per_point(self, analytic):
+    def test_one_partials_call_per_grid(self, analytic):
+        # The partials are taken once for the whole lattice, at exactly the
+        # report's points, each once and in the report's row order.
         base = one_vortex_field(k=1.0)
         fld = (CountingField(**{k: getattr(base, k) for k in
                                 ("value", "z_t", "z_x", "z_y", "z_xx", "z_yy")})
@@ -320,7 +336,59 @@ class TestGridReport:
         report = evaluate_grid(fld, C12, NAT, Potential.fixed(2.5),
                                [0.1, 0.5], [0.2, 0.3, 0.4], [0.0, 0.1])
         assert len(report.points) == 12
-        assert fld.seen == list(report.points)
+        assert len(fld.seen) == 1
+        seen = np.stack(np.broadcast_arrays(*fld.seen[0]), axis=1)
+        assert np.array_equal(seen, report.points)
+
+    def test_rows_are_rx_major_t_minor(self):
+        report = evaluate_grid(one_vortex_field(k=1.0), C12, NAT, FREE,
+                               [0.1, 0.5], [0.2, 0.3, 0.4], [0.0, 0.1])
+        rows = [(rx, ry, t) for rx in [0.1, 0.5] for ry in [0.2, 0.3, 0.4]
+                for t in [0.0, 0.1]]
+        assert report.points.shape == (12, 3)
+        assert report.residual_real.shape == report.residual_imag.shape == (12,)
+        assert report.points.tolist() == [list(p) for p in rows]
+
+    def test_constant_field_broadcasts_to_the_lattice(self):
+        report = evaluate_grid(constant_field(1.0), C12, NAT, FREE,
+                               [0.1, 0.5], [0.2], [0.0, 0.1, 0.2])
+        assert report.residual_real.shape == report.residual_imag.shape == (6,)
+        assert report.max_abs_real == report.max_abs_imag == 0.0
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
+    def test_rejects_bad_field_value_and_names_the_point(self, bad):
+        # z = bad only at r_x = 0.5, t = 0.1
+        value = lambda rx, ry, t: np.where((rx == 0.5) & (t == 0.1), bad, 1.0 + rx)
+        with pytest.raises(DomainError, match=r"at \(0\.5, 0\.2, 0\.1\)"):
+            evaluate_grid(ZField(value=value), C12, NAT, FREE,
+                          [0.1, 0.5], [0.2], [0.0, 0.1])
+
+    @given(kind=st.sampled_from(FIELD_KINDS),
+           a=st.tuples(coef, coef, coef, unit), b=st.tuples(coef, coef, coef, unit),
+           cx=st.floats(min_value=-3.0, max_value=3.0),
+           cy=st.floats(min_value=-3.0, max_value=3.0),
+           hbar=unit, mass=unit, u_f=st.floats(min_value=-10.0, max_value=10.0),
+           rx=axis, ry=axis, t=axis)
+    @settings(max_examples=200, deadline=None)
+    def test_grid_matches_pointwise_residuals(self, kind, a, b, cx, cy, hbar,
+                                              mass, u_f, rx, ry, t):
+        c = CParam(cx, cy)
+        if c.modulus_sq() < 1e-6:
+            return
+        fld = make_field(kind, a, b)
+        params = PhysicalParams(hbar, mass)
+        pot = Potential.fixed(u_f)
+        report = evaluate_grid(fld, c, params, pot, rx, ry, t)
+        rows = [(x, y, s) for x in rx for y in ry for s in t]
+        assert report.points.tolist() == [list(p) for p in rows]
+        for p, r, i in zip(rows, report.residual_real, report.residual_imag):
+            want = complex_residual(fld, c, params, pot, p)
+            assert r == want.real
+            z, zt, zx, zy, _, _ = fld.partials(p)
+            term_scale = (abs(hbar * zt)
+                          + abs(hbar ** 2 / (2 * mass) * cy / z * (zx * zx + zy * zy))
+                          + abs(z * cy / c.modulus_sq() * u_f))
+            assert abs(i - want.imag) <= 1e-13 * term_scale
 
     def test_solution_grid_is_clean(self):
         field = one_vortex_field(k=1.0)

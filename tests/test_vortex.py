@@ -93,6 +93,13 @@ class TestSolutions:
         assert sol.branch is Branch.ZERO_VORTEX
         assert sol.s == 1.0
 
+    @pytest.mark.parametrize("name", ["k", "s", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        kw = {"k": 1.0, "s": 1.0, "beta": 1.0, name: value}
+        with pytest.raises(DomainError, match="finite"):
+            VortexSolution(Branch.ONE_VORTEX, **kw)
+
 
 class TestTrajectory:
     def test_initial_radius(self):

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,9 @@ from zvortex import (
     laplace_residual,
     normalizability,
     partials_uv,
+    psi_values,
 )
+from zvortex.wavecore import ContourResult, MIN_CONTOUR_POINTS, WaveValue
 
 E = math.e
 
@@ -31,6 +34,154 @@ def fd_dpsi_dc(z, c, h=1e-6):
     px = eval_psi(z, CParam(c.x + h, c.y)).as_complex()
     mx = eval_psi(z, CParam(c.x - h, c.y)).as_complex()
     return (px - mx) / (2 * h)
+
+
+# The scalar kernels as the package had them before they worked on numpy
+# arrays, kept verbatim (scalar_ prefixed) as oracles for the array ones.
+def scalar_eval_psi(z: float, c: CParam) -> WaveValue:
+    """Evaluate psi = z**c = z**x * (cos(y ln z) + i sin(y ln z))."""
+    return WaveValue.from_complex(cmath.exp(c.as_complex() * math.log(z)))
+
+
+def scalar_check_cauchy_riemann(z: float, c: CParam, h: float = 1e-5) -> tuple[float, float]:
+    px = scalar_eval_psi(z, CParam(c.x + h, c.y))
+    mx = scalar_eval_psi(z, CParam(c.x - h, c.y))
+    py = scalar_eval_psi(z, CParam(c.x, c.y + h))
+    my = scalar_eval_psi(z, CParam(c.x, c.y - h))
+    du_dx = (px.u - mx.u) / (2.0 * h)
+    dv_dx = (px.v - mx.v) / (2.0 * h)
+    du_dy = (py.u - my.u) / (2.0 * h)
+    dv_dy = (py.v - my.v) / (2.0 * h)
+    return abs(du_dx - dv_dy), abs(du_dy + dv_dx)
+
+
+def scalar_laplace_residual(z0: float, c0: CParam, h: float = 1e-4) -> tuple[float, float]:
+    center = scalar_eval_psi(z0, c0)
+    px = scalar_eval_psi(z0, CParam(c0.x + h, c0.y))
+    mx = scalar_eval_psi(z0, CParam(c0.x - h, c0.y))
+    py = scalar_eval_psi(z0, CParam(c0.x, c0.y + h))
+    my = scalar_eval_psi(z0, CParam(c0.x, c0.y - h))
+    inv_h2 = 1.0 / (h * h)
+    lap_u = (px.u + mx.u + py.u + my.u - 4.0 * center.u) * inv_h2
+    lap_v = (px.v + mx.v + py.v + my.v - 4.0 * center.v) * inv_h2
+    return abs(lap_u), abs(lap_v)
+
+
+def scalar_contour_integral(
+    z: float, center: CParam, radius: float, n_points: int = 1024
+) -> ContourResult:
+    lnz = math.log(z)
+    c0 = center.as_complex()
+    total = 0j
+    dtheta = 2.0 * math.pi / n_points
+    for j in range(n_points):
+        theta = j * dtheta
+        offset = radius * cmath.exp(1j * theta)
+        total += cmath.exp((c0 + offset) * lnz) * (1j * offset)
+    total *= dtheta
+    return ContourResult(
+        value=WaveValue.from_complex(total),
+        accuracy_warning=n_points < MIN_CONTOUR_POINTS,
+    )
+
+
+def scalar_cauchy_formula(
+    z: float, a: CParam, center: CParam, radius: float, n_points: int = 2048
+) -> WaveValue:
+    ac = a.as_complex()
+    c0 = center.as_complex()
+    lnz = math.log(z)
+    total = 0j
+    dtheta = 2.0 * math.pi / n_points
+    for j in range(n_points):
+        theta = j * dtheta
+        offset = radius * cmath.exp(1j * theta)
+        cj = c0 + offset
+        total += cmath.exp(cj * lnz) / (cj - ac) * (1j * offset)
+    total *= dtheta / (2j * math.pi)
+    return WaveValue.from_complex(total)
+
+
+EPS = np.finfo(float).eps
+
+
+def random_points(n=2000, seed=5):
+    """Seeded (z, x, y) arrays over the verify ranges, plus the special
+    points z = 1 and y = 0."""
+    rng = np.random.default_rng(seed)
+    z = np.r_[rng.uniform(0.5, 2.0, n), 1.0, 1.7]
+    x = np.r_[rng.uniform(-2.0, 2.0, n), 1.0, -0.5]
+    y = np.r_[rng.uniform(-2.0, 2.0, n), 2.0, 0.0]
+    return z, x, y
+
+
+class TestArrayKernels:
+    """The array kernels against the scalar ones above. Each psi value may
+    differ from the scalar one by a few ulp; a stencil divides that by its
+    step, so the bounds are 8 eps / h (Cauchy-Riemann) and 8 eps / h**2
+    (Laplace) of the scale z**x. The contour sums also add their terms in
+    another order: they are held to 1e-13 of the largest |psi| on the
+    contour, times the radius for the closed integral."""
+
+    def test_psi_values(self):
+        z, x, y = random_points()
+        got = psi_values(z, x, y)
+        want = np.array([scalar_eval_psi(a, CParam(b, d)).as_complex()
+                         for a, b, d in zip(z, x, y)])
+        assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
+        w = eval_psi(z, CParam(x, y))
+        assert np.array_equal(w.u, got.real) and np.array_equal(w.v, got.imag)
+
+    def test_broadcast_axes_match_full_lattice(self):
+        z, x, y = np.array([0.5, 1.3]), np.array([-1.0, 0.0, 2.0]), np.array([0.5, -2.0])
+        lattice = np.meshgrid(z, x, y, indexing="ij")
+        broadcast = psi_values(z[:, None, None], x[None, :, None], y[None, None, :])
+        assert np.array_equal(broadcast, psi_values(*lattice))
+
+    @pytest.mark.parametrize("h", [1e-5, 1e-3])
+    def test_cauchy_riemann(self, h):
+        z, x, y = random_points()
+        got = np.array(check_cauchy_riemann(z, CParam(x, y), h))
+        want = np.array([scalar_check_cauchy_riemann(a, CParam(b, d), h)
+                         for a, b, d in zip(z, x, y)]).T
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 8 * EPS / h * z ** x)
+
+    @pytest.mark.parametrize("h", [1e-4, 1e-3])
+    def test_laplace(self, h):
+        z, x, y = random_points()
+        got = np.array(laplace_residual(z, CParam(x, y), h))
+        want = np.array([scalar_laplace_residual(a, CParam(b, d), h)
+                         for a, b, d in zip(z, x, y)]).T
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 8 * EPS / h ** 2 * z ** x)
+
+    @given(z=st.floats(min_value=0.3, max_value=3.0), cx=xy_values, cy=xy_values,
+           radius=st.floats(min_value=0.2, max_value=2.0),
+           n_points=st.integers(min_value=4, max_value=3000),
+           ax=st.floats(min_value=-0.5, max_value=0.5),
+           ay=st.floats(min_value=-0.5, max_value=0.5))
+    @settings(max_examples=100, deadline=None)
+    def test_contour_sums(self, z, cx, cy, radius, n_points, ax, ay):
+        center = CParam(cx, cy)
+        max_psi = max(z ** (cx + radius), z ** (cx - radius))
+        got = contour_integral(z, center, radius, n_points)
+        want = scalar_contour_integral(z, center, radius, n_points)
+        assert got.accuracy_warning == want.accuracy_warning
+        assert (abs(got.value.as_complex() - want.value.as_complex())
+                <= 1e-13 * max_psi * radius)
+        a = CParam(cx + ax * radius, cy + ay * radius)
+        got = cauchy_formula(z, a, center, radius, n_points).as_complex()
+        want = scalar_cauchy_formula(z, a, center, radius, n_points).as_complex()
+        assert abs(got - want) <= 1e-13 * max_psi
+
+    @pytest.mark.parametrize("bad", [0.0, -1.5, math.nan])
+    def test_array_rejects_non_positive_z(self, bad):
+        z = np.array([0.5, bad, 2.0])
+        with pytest.raises(DomainError, match="got " + str(bad)):
+            check_cauchy_riemann(z, CParam(np.zeros(3), np.ones(3)))
+        with pytest.raises(DomainError):
+            laplace_residual(z, CParam(np.zeros(3), np.ones(3)))
 
 
 class TestEvalPsi:
