@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from typing import Iterable
 
 import click
 import numpy as np
@@ -21,6 +22,7 @@ from . import ensemble as ensemble_mod
 from . import schrodinger_field as sf
 from . import vortex as vx
 from . import wavecore as wc
+from .tables import format_rows
 from .wavecore import CParam, DomainError
 
 TOLERANCE_ENV = "ZVORTEX_TOLERANCE"
@@ -50,6 +52,18 @@ def _emit(path: str | None, *parts: str) -> None:
         return
     with open(path, "w") as fh:
         fh.writelines(parts)
+
+
+def _json_with_rows(doc: dict, key: str, blocks: Iterable[str]) -> list[str]:
+    """The parts of ``json.dumps({**doc, key: rows}, sort_keys=True)`` and a
+    newline, where ``blocks`` hold the rows as JSON objects already
+    encoded and joined by ", "."""
+    head, tail = json.dumps({**doc, key: []}, sort_keys=True).split(f'"{key}": []')
+    parts = [head, f'"{key}": [']
+    for i, block in enumerate(blocks):
+        parts += [", ", block] if i else [block]
+    parts.append("]" + tail + "\n")
+    return parts
 
 
 def _finite(value) -> bool:
@@ -266,21 +280,19 @@ def cmd_trajectory(params_path, out_path, fmt, hbar, mass):
     steps = _count(params, "steps", 100, minimum=0)
     t_grid = [t_max * i / (steps - 1) for i in range(steps)] if steps > 1 \
         else ([0.0] if steps == 1 else [])
-    points = vx.trajectory(sol, t_grid=t_grid)
+    traj = vx.trajectory(sol, t_grid=t_grid)
     t_star = vx.collapse_time(sol)
     footer = {"collapse_time": None if math.isinf(t_star) else t_star,
               "branch": sol.branch.value, "k": sol.k, "s": sol.s,
               "beta": sol.beta}
     if fmt == "json":
-        _emit(out_path, json.dumps({
-            "points": [{"t": p.t, "u": p.u, "v": p.v, "radius": p.radius,
-                        "gradient_radius": p.gradient_radius}
-                       for p in points],
-            **footer}, sort_keys=True), "\n")
+        _emit(out_path, *_json_with_rows(footer, "points", format_rows(
+            '{"gradient_radius": %r, "radius": %r, "t": %r, "u": %r, "v": %r}',
+            [traj.gradient_radius, traj.radius, traj.t, traj.u, traj.v], ", ")))
     else:
         _emit(out_path, "t,u,v,radius,gradient_radius\n",
-              *(f"{_fmt(p.t)},{_fmt(p.u)},{_fmt(p.v)},"
-                f"{_fmt(p.radius)},{_fmt(p.gradient_radius)}\n" for p in points),
+              *format_rows("%.17g,%.17g,%.17g,%.17g,%.17g\n",
+                           [traj.t, traj.u, traj.v, traj.radius, traj.gradient_radius]),
               "# " + json.dumps(footer, sort_keys=True) + "\n")
 
 
@@ -351,32 +363,36 @@ def cmd_geometry(params_path, out_path, fmt):
     if z_max <= 0.0:
         raise click.UsageError(f"z_max must be positive, got {z_max!r}")
     z_min = _number(params, "z_min", 1.0 / z_max)
-    rows: list[tuple[str, float, float, float, float]] = []
-    one_z = [1.0 + (z_max - 1.0) * i / (n - 1) for i in range(n)]
-    zero_z = [z_min + (1.0 - z_min) * i / (n - 1) for i in range(n)]
+    i = np.arange(n)
+    # A grid beyond the float range is rejected by the segment checks.
+    with np.errstate(over="ignore"):
+        one_z = 1.0 + (z_max - 1.0) * i / (n - 1)
+        zero_z = z_min + (1.0 - z_min) * i / (n - 1)
     # Rounding can put the formula's last point just above 1, off the
     # 0-vortex segment; the segment's end is exactly z = 1.
     zero_z[-1] = 1.0
-    for z, p in zip(one_z, vx.gradient_map_segment(vx.Branch.ONE_VORTEX, k, one_z)):
-        rows.append(("segment_one", z, *p))
-    for z, p in zip(zero_z, vx.gradient_map_segment(vx.Branch.ZERO_VORTEX, k, zero_z)):
-        rows.append(("segment_zero", z, *p))
-    for z in one_z:
-        if z > 1.0:
-            img = vx.segment_involution((k * z, k * z, z), k)
-            rows.append(("involution", z, *img))
-    for z in zero_z:
-        rows.append(("squared", z, *vx.squared_map(vx.Branch.ZERO_VORTEX, k, z)))
-    for z in one_z:
-        rows.append(("squared", z, *vx.squared_map(vx.Branch.ONE_VORTEX, k, z)))
+    one, zero = vx.Branch.ONE_VORTEX, vx.Branch.ZERO_VORTEX
+    inv_z = one_z[one_z > 1.0]
+    # One vortex call per section of rows, in output order, all made before
+    # anything is written.
+    sections = [
+        ("segment_one", one_z, vx.gradient_map_segment(one, k, one_z)),
+        ("segment_zero", zero_z, vx.gradient_map_segment(zero, k, zero_z)),
+        ("involution", inv_z, vx.segment_involution((k * inv_z, k * inv_z, inv_z), k)),
+        ("squared", zero_z, vx.squared_map(zero, k, zero_z)),
+        ("squared", one_z, vx.squared_map(one, k, one_z)),
+    ]
     if fmt == "json":
-        _emit(out_path, json.dumps({"points": [
-            {"kind": kind, "z": z, "px": px, "py": py, "pz": pz}
-            for kind, z, px, py, pz in rows]}, sort_keys=True), "\n")
+        _emit(out_path, *_json_with_rows({}, "points", (
+            row for kind, z, (px, py, pz) in sections
+            for row in format_rows(
+                f'{{"kind": "{kind}", "px": %r, "py": %r, "pz": %r, "z": %r}}',
+                [px, py, pz, z], ", "))))
     else:
-        _emit(out_path, "kind,z,px,py,pz\n",
-              *(f"{kind},{_fmt(z)},{_fmt(px)},{_fmt(py)},{_fmt(pz)}\n"
-                for kind, z, px, py, pz in rows))
+        _emit(out_path, "kind,z,px,py,pz\n", *(
+            row for kind, z, (px, py, pz) in sections
+            for row in format_rows(f"{kind},%.17g,%.17g,%.17g,%.17g\n",
+                                   [z, px, py, pz])))
 
 
 def main():

@@ -16,7 +16,7 @@ r_x, r_y and t as scalars or as arrays of one broadcast shape and returns
 z (or a partial) elementwise; a scalar result stands for a constant.
 ``ZField.partials`` and ``complex_residual`` take a point whose
 coordinates are scalars or such arrays. ``evaluate_grid`` takes the
-partials once for a whole lattice, and ``GridReport`` holds its points and
+partials once for a whole lattice, and ``GridReport`` holds its axes and
 residuals as numpy arrays.
 """
 
@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
+from .tables import format_rows
 from .wavecore import CParam, DomainError, STEP_FIRST, STEP_SECOND, psi_values
 
 # Callables and points take floats or numpy arrays of one broadcast shape.
@@ -239,15 +240,32 @@ def imag_residual(field: ZField, c: CParam, params: PhysicalParams,
 class GridReport:
     """Residuals sampled on a rectangular (r_x, r_y, t) lattice.
 
-    ``points`` is an (n, 3) float array of (r_x, r_y, t) rows, r_x-major
-    and t-minor; ``residual_real`` and ``residual_imag`` are (n,) float
-    arrays, row for row.
+    ``axes`` holds the r_x, r_y and t values of the lattice as float
+    arrays. ``residual_real`` and ``residual_imag`` are float arrays with
+    one entry per lattice point, r_x-major and t-minor. ``points`` and
+    ``grid_spec`` are derived from the axes.
     """
 
-    points: np.ndarray
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray]
     residual_real: np.ndarray
     residual_imag: np.ndarray
-    grid_spec: dict = field(default_factory=dict)
+
+    @property
+    def points(self) -> np.ndarray:
+        """(n, 3) float array of the (r_x, r_y, t) rows, in residual order."""
+        return np.stack([a.ravel() for a in np.meshgrid(*self.axes, indexing="ij")],
+                        axis=1)
+
+    @property
+    def grid_spec(self) -> dict:
+        """[min, max, count] of each axis; min and max are None for an
+        empty axis."""
+        spec = {}
+        for name, axis in zip(("r_x", "r_y", "t"), self.axes):
+            values = axis.tolist()
+            spec[name] = [min(values, default=None), max(values, default=None),
+                          len(values)]
+        return spec
 
     @property
     def max_abs_real(self) -> float:
@@ -259,24 +277,25 @@ class GridReport:
 
     @property
     def mean_abs_real(self) -> float:
-        return float(np.mean(np.abs(self.residual_real))) if len(self.points) else 0.0
+        return float(np.mean(np.abs(self.residual_real))) if self.residual_real.size else 0.0
 
     @property
     def mean_abs_imag(self) -> float:
-        return float(np.mean(np.abs(self.residual_imag))) if len(self.points) else 0.0
+        return float(np.mean(np.abs(self.residual_imag))) if self.residual_imag.size else 0.0
 
     def write_csv(self, out: TextIO) -> None:
         out.write("r_x,r_y,t,residual_real,residual_imag\n")
-        # Row by row: formatting the whole report into one string fragments
-        # the heap and grows a long-running process.
-        row = "{0[0]:.17g},{0[1]:.17g},{0[2]:.17g},{1:.17g},{2:.17g}\n".format
-        out.writelines(map(row, self.points.tolist(), self.residual_real.tolist(),
-                           self.residual_imag.tolist()))
+        # Each axis value is formatted once; the rows take its string by index.
+        labels = [np.array(["%.17g" % v for v in axis.tolist()], dtype=object)
+                  for axis in self.axes]
+        columns = [c.ravel() for c in np.meshgrid(*labels, indexing="ij")]
+        out.writelines(format_rows("%s,%s,%s,%.17g,%.17g\n",
+                                   [*columns, self.residual_real, self.residual_imag]))
 
     def summary(self) -> dict:
         return {
             "grid": self.grid_spec,
-            "n_points": len(self.points),
+            "n_points": self.residual_real.size,
             "max_abs_real": self.max_abs_real,
             "max_abs_imag": self.max_abs_imag,
             "mean_abs_real": self.mean_abs_real,
@@ -294,17 +313,13 @@ def evaluate_grid(field_: ZField, c: CParam, params: PhysicalParams,
     """Evaluate the complex residual on the product grid and aggregate its
     real (R) and imaginary (I) parts.
 
-    The lattice is one array of points, r_x-major and t-minor, and the
-    partials of the field are taken once for all of them.
+    The lattice is one array per coordinate, r_x-major and t-minor, and the
+    partials of the field are taken once for all of its points.
     """
-    axes = [np.asarray(v, dtype=float) for v in (rx_values, ry_values, t_values)]
-    points = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
-    res = complex_residual(field_, c, params, potential, tuple(points.T))
-    res = np.broadcast_to(res, len(points))
-    spec = {
-        "r_x": [min(rx_values), max(rx_values), len(rx_values)],
-        "r_y": [min(ry_values), max(ry_values), len(ry_values)],
-        "t": [min(t_values), max(t_values), len(t_values)],
-    }
-    return GridReport(points=points, residual_real=np.ascontiguousarray(res.real),
-                      residual_imag=np.ascontiguousarray(res.imag), grid_spec=spec)
+    axes = tuple(np.array(v, dtype=float).ravel()
+                 for v in (rx_values, ry_values, t_values))
+    lattice = tuple(a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    res = complex_residual(field_, c, params, potential, lattice)
+    res = np.broadcast_to(res, lattice[0].shape)
+    return GridReport(axes=axes, residual_real=np.ascontiguousarray(res.real),
+                      residual_imag=np.ascontiguousarray(res.imag))

@@ -8,7 +8,7 @@ the exponential family
 with s = r_x + r_y and beta = hbar/m. The plus branch ("1-vortex") reaches
 z = 1 at t* = s / (3 k beta), where psi collapses to 1; the minus branch
 ("0-vortex") decays to 0 asymptotically. This module provides those
-solutions, their (u, v)-plane trajectories, collapse classification,
+solutions, their (u, v)-plane trajectories as columns, collapse classification,
 normalization constants, the predicted 0-to-1 population ratio, and the
 gradient-map line-segment geometry.
 """
@@ -19,7 +19,9 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .schrodinger_field import PhysicalParams, ZField, exponential_field
 from .wavecore import DomainError
@@ -105,13 +107,19 @@ class VortexSolution:
         }
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    t: float
-    u: float
-    v: float
-    radius: float
-    gradient_radius: float
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """The (u, v)-plane motion sampled at the times ``t``: five float arrays
+    of one length, one entry per sample."""
+
+    t: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    radius: np.ndarray
+    gradient_radius: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def real_solution(u_f: float, params: PhysicalParams, sign: int = 1) -> ZField:
@@ -135,23 +143,39 @@ def imag_solution(branch: Branch, u_f: float, params: PhysicalParams,
                           s=s, beta=params.beta)
 
 
+def _mapped(f, x: np.ndarray) -> np.ndarray:
+    """``f`` applied to each value of the array, as Python floats.
+
+    ``math.exp``, ``cos`` and ``sin`` keep the bits of the scalar formulas;
+    numpy's versions differ from them in the last place on some arguments.
+    """
+    return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
 def trajectory(sol: VortexSolution, s: float | None = None,
-               t_grid: Iterable[float] = ()) -> list[TrajectoryPoint]:
-    """Sample the (u, v)-plane motion of the vortex at the given times."""
+               t_grid: Sequence[float] = ()) -> Trajectory:
+    """Sample the (u, v)-plane motion of the vortex at the given times.
+
+    A radius or gradient radius beyond the float range is a DomainError.
+    """
     if s is not None and s != sol.s:
         sol = replace(sol, s=s)
-    points = []
-    for t in t_grid:
-        z = sol.z(t)
-        phase = C_Y * sol.log_z(t)
-        points.append(TrajectoryPoint(
-            t=t,
-            u=z * math.cos(phase),
-            v=z * math.sin(phase),
-            radius=z,
-            gradient_radius=sol.k * z * math.sqrt(2.0),
-        ))
-    return points
+    t = np.array(t_grid, dtype=float)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_z = sol.log_z(t)
+            radius = _mapped(math.exp, log_z)
+            gradient_radius = sol.k * radius * math.sqrt(2.0)
+        finite = np.isfinite(log_z).all() and np.isfinite(gradient_radius).all()
+    except OverflowError:  # k**2 or a radius beyond the float range
+        finite = False
+    if not finite:
+        raise DomainError(f"vortex radius is not finite on this time grid "
+                          f"(k={sol.k}, s={sol.s}, beta={sol.beta})")
+    phase = C_Y * log_z
+    return Trajectory(t=t, u=radius * _mapped(math.cos, phase),
+                      v=radius * _mapped(math.sin, phase), radius=radius,
+                      gradient_radius=gradient_radius)
 
 
 def collapse_time(sol: VortexSolution, s: float | None = None) -> float:
@@ -212,57 +236,71 @@ def vortex_ratio(k: float, s: float) -> float:
     return math.exp(4.0 * ks) - math.exp(2.0 * ks)
 
 
-Point3 = tuple[float, float, float]
+Point3 = tuple  # (p_x, p_y, p_z): floats, or arrays of one shape
 
 
-def _check_branch_z(branch: Branch, z: float) -> None:
-    if z <= 0.0:
-        raise DomainError(f"z must be positive, got {z}")
-    if branch is Branch.ONE_VORTEX and z < 1.0:
+def _check_branch_z(branch: Branch, z: np.ndarray) -> None:
+    bad = ~(z > 0.0)
+    if bad.any():
+        raise DomainError(f"z must be positive, got {z[bad].flat[0]}")
+    if branch is Branch.ONE_VORTEX and (z < 1.0).any():
         raise DomainError("1-vortex segment lives on z >= 1")
-    if branch is Branch.ZERO_VORTEX and z > 1.0:
+    if branch is Branch.ZERO_VORTEX and (z > 1.0).any():
         raise DomainError("0-vortex segment lives on 0 < z <= 1")
 
 
-def gradient_map_segment(branch: Branch, k: float,
-                         z_values: Sequence[float]) -> list[Point3]:
-    """Sample the gradient map (z_x, z_y, z) along a branch's line segment.
+def _finite_point(*coords) -> Point3:
+    """The coordinates as a point, or a DomainError if one is not finite."""
+    if not all(np.isfinite(c).all() for c in coords):
+        raise DomainError("gradient-map point is not finite (beyond the float range)")
+    return coords
+
+
+def gradient_map_segment(branch: Branch, k: float, z) -> Point3:
+    """The gradient map (z_x, z_y, z) on a branch's line segment, elementwise
+    over ``z`` (a float or an array).
 
     1-vortex: (kz, kz, z) for z >= 1; 0-vortex: (-kz, -kz, z) for z <= 1.
     Both meet the plane z = 1 at the boundary points (+/-k, +/-k, 1).
     """
     if k <= 0.0:
         raise DomainError(f"k must be positive, got {k}")
-    points = []
-    for z in z_values:
-        _check_branch_z(branch, z)
+    z = np.asarray(z, dtype=float)
+    _check_branch_z(branch, z)
+    with np.errstate(over="ignore"):
         g = branch.sign * k * z
-        points.append((g, g, z))
-    return points
+    return _finite_point(g, g, z[()])
 
 
 def segment_involution(point: Point3, k: float) -> Point3:
-    """Map a 1-vortex line point (kz, kz, z), z > 1, onto the 0-vortex line.
+    """Map 1-vortex line points (kz, kz, z), z > 1, onto the 0-vortex line,
+    elementwise over the coordinates.
 
     Image is (-k/z, -k/z, 1/z), which lies on (-kz', -kz', z') at z' = 1/z.
     """
-    _, _, z = point
-    if z <= 1.0:
+    z = np.asarray(point[2], dtype=float)
+    if not (z > 1.0).all():
         raise DomainError("involution input must have z > 1")
-    return (-k / z, -k / z, 1.0 / z)
+    g = -k / z
+    return _finite_point(g, g, 1.0 / z)
 
 
 def segment_involution_inverse(point: Point3, k: float) -> Point3:
-    """Inverse direction: 0-vortex line point (-kz, -kz, z), z < 1, back to
-    the 1-vortex line."""
-    _, _, z = point
-    if not 0.0 < z < 1.0:
+    """Inverse direction: 0-vortex line points (-kz, -kz, z), 0 < z < 1, back
+    to the 1-vortex line, elementwise over the coordinates."""
+    z = np.asarray(point[2], dtype=float)
+    if not ((0.0 < z) & (z < 1.0)).all():
         raise DomainError("inverse involution input must have 0 < z < 1")
-    return (k / z, k / z, 1.0 / z)
+    with np.errstate(over="ignore"):
+        g, w = k / z, 1.0 / z
+    return _finite_point(g, g, w)
 
 
-def squared_map(branch: Branch, k: float, z: float) -> Point3:
-    """Quadratic map (k^2 z^2, k^2 z^2, z^2), identical for both branches."""
+def squared_map(branch: Branch, k: float, z) -> Point3:
+    """Quadratic map (k^2 z^2, k^2 z^2, z^2), identical for both branches,
+    elementwise over ``z`` (a float or an array)."""
+    z = np.asarray(z, dtype=float)
     _check_branch_z(branch, z)
-    q = k * k * z * z
-    return (q, q, z * z)
+    with np.errstate(over="ignore"):
+        q, w = k * k * z * z, z * z
+    return _finite_point(q, q, w)

@@ -143,8 +143,8 @@ def test_criterion_5_collapse():
     sol = zv.VortexSolution(Branch.ONE_VORTEX, k=1.0, s=1.0, beta=1.0)
     t_star = zv.collapse_time(sol)
     psi_err = abs(sol.psi(t_star) - 1.0)
-    (p0,) = zv.trajectory(sol, t_grid=[0.0])
-    radius_err = abs(p0.radius - math.e) / math.e
+    traj = zv.trajectory(sol, t_grid=[0.0])
+    radius_err = abs(traj.radius[0] - math.e) / math.e
     ok = t_star == 1.0 / 3.0 and psi_err < 1e-12 and radius_err < 1e-12
     report("criterion 5 (collapse)", ok,
            f"t*={t_star}, |psi(t*)-1|={psi_err:.2e}, radius rel err={radius_err:.2e}")
@@ -241,8 +241,8 @@ def test_criterion_9_ensemble():
 
 def test_criterion_10_geometry():
     k = 1.3
-    (p1,) = zv.gradient_map_segment(Branch.ONE_VORTEX, k, [1.0])
-    (p0,) = zv.gradient_map_segment(Branch.ZERO_VORTEX, k, [1.0])
+    p1 = zv.gradient_map_segment(Branch.ONE_VORTEX, k, 1.0)
+    p0 = zv.gradient_map_segment(Branch.ZERO_VORTEX, k, 1.0)
     endpoints = p1 == (k, k, 1.0) and p0 == (-k, -k, 1.0)
     worst = 0.0
     for i in range(100):

@@ -338,6 +338,12 @@ class TestBadInput:
                      id="geometry-z_max-text"),
         pytest.param("geometry", {"k": 1.0, "n": 5, "z_min": math.inf}, [],
                      None, 2, id="geometry-z_min-inf"),
+        pytest.param("geometry", {"k": 1e200, "n": 3, "z_max": 1e200}, [], None, 1,
+                     id="geometry-point-overflow"),
+        pytest.param("geometry", {"k": 1e200, "n": 3, "z_max": 1e200},
+                     ["--format", "json"], None, 1, id="geometry-point-overflow-json"),
+        pytest.param("trajectory", {"k": 1000.0, "s": 1.0, "t_max": 0.1, "steps": 3},
+                     [], None, 1, id="trajectory-radius-overflow"),
         pytest.param("ensemble", {**ENSEMBLE, "digest_bits": -3}, [], None, 1,
                      id="ensemble-digest_bits-negative"),
         pytest.param("ensemble", {**ENSEMBLE, "digest_bits": 2.5}, [], None, 2,
@@ -348,7 +354,7 @@ class TestBadInput:
         proc = run_cli_process(command, "--params", path, *args, env=env)
         output = proc.stdout + proc.stderr
         assert proc.returncode == code, output
-        assert "Traceback" not in output
+        assert "Traceback" not in output and "Warning" not in output
         assert any(line.lower().startswith("error:")
                    for line in proc.stderr.splitlines()), output
 

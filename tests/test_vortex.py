@@ -104,21 +104,20 @@ class TestSolutions:
 class TestTrajectory:
     def test_initial_radius(self):
         sol = VortexSolution(Branch.ONE_VORTEX, k=1.0, s=1.0, beta=1.0)
-        (p,) = trajectory(sol, t_grid=[0.0])
-        assert p.radius == pytest.approx(math.e, rel=1e-12)
-        assert p.gradient_radius == pytest.approx(math.e * math.sqrt(2), rel=1e-12)
+        traj = trajectory(sol, t_grid=[0.0])
+        assert traj.radius[0] == pytest.approx(math.e, rel=1e-12)
+        assert traj.gradient_radius[0] == pytest.approx(math.e * math.sqrt(2), rel=1e-12)
 
     def test_collapse_point(self):
         sol = VortexSolution(Branch.ONE_VORTEX, k=1.0, s=1.0, beta=1.0)
-        (p,) = trajectory(sol, t_grid=[1.0 / 3.0])
-        assert p.radius == pytest.approx(1.0, rel=1e-12)
-        assert p.u == pytest.approx(1.0, abs=1e-12)
-        assert p.v == pytest.approx(0.0, abs=1e-12)
+        traj = trajectory(sol, t_grid=[1.0 / 3.0])
+        assert traj.radius[0] == pytest.approx(1.0, rel=1e-12)
+        assert traj.u[0] == pytest.approx(1.0, abs=1e-12)
+        assert traj.v[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_vortex_radius_decreasing(self):
         sol = VortexSolution(Branch.ZERO_VORTEX, k=1.0, s=1.0, beta=1.0)
-        points = trajectory(sol, t_grid=[0.1 * i for i in range(30)])
-        radii = [p.radius for p in points]
+        radii = trajectory(sol, t_grid=[0.1 * i for i in range(30)]).radius.tolist()
         assert all(a > b for a, b in zip(radii, radii[1:]))
         assert radii[-1] < 1e-3
 
@@ -126,12 +125,24 @@ class TestTrajectory:
     @settings(max_examples=30)
     def test_radius_and_gradient_radius_identities(self, k, s):
         sol = VortexSolution(Branch.ONE_VORTEX, k=k, s=s, beta=1.0)
-        for p in trajectory(sol, t_grid=[0.0, 0.2, 0.8]):
-            z = sol.z(p.t)
-            assert p.radius == pytest.approx(z, rel=1e-12)
-            assert p.gradient_radius == pytest.approx(k * z * math.sqrt(2),
-                                                      rel=1e-12)
-            assert math.hypot(p.u, p.v) == pytest.approx(z, rel=1e-12)
+        traj = trajectory(sol, t_grid=[0.0, 0.2, 0.8])
+        for t, u, v, radius, gradient_radius in zip(
+                traj.t, traj.u, traj.v, traj.radius, traj.gradient_radius):
+            z = sol.z(t)
+            assert radius == pytest.approx(z, rel=1e-12)
+            assert gradient_radius == pytest.approx(k * z * math.sqrt(2), rel=1e-12)
+            assert math.hypot(u, v) == pytest.approx(z, rel=1e-12)
+
+    @pytest.mark.parametrize("k,s,beta", [
+        (1000.0, 1.0, 1.0),    # exp(1000) overflows
+        (1e200, 1.0, 1.0),     # k**2 overflows
+        (1e150, 1.0, 1e10),    # 3 k^2 beta is inf, and inf * 0 is NaN at t = 0
+        (2.0, 354.5, 1e-300),  # z finite, k z sqrt(2) overflows
+    ])
+    def test_radius_beyond_float_range_rejected(self, k, s, beta):
+        sol = VortexSolution(Branch.ONE_VORTEX, k=k, s=s, beta=beta)
+        with pytest.raises(DomainError, match="not finite"):
+            trajectory(sol, t_grid=[0.0, 0.05, 0.1])
 
 
 class TestCollapse:
@@ -210,11 +221,11 @@ class TestNormalization:
 
 class TestGeometry:
     def test_segment_endpoints(self):
-        assert gradient_map_segment(Branch.ONE_VORTEX, 1.0, [1.0]) == [(1.0, 1.0, 1.0)]
-        assert gradient_map_segment(Branch.ZERO_VORTEX, 1.0, [1.0]) == [(-1.0, -1.0, 1.0)]
+        assert gradient_map_segment(Branch.ONE_VORTEX, 1.0, 1.0) == (1.0, 1.0, 1.0)
+        assert gradient_map_segment(Branch.ZERO_VORTEX, 1.0, 1.0) == (-1.0, -1.0, 1.0)
 
     def test_zero_branch_tends_to_origin(self):
-        (p,) = gradient_map_segment(Branch.ZERO_VORTEX, 1.0, [1e-9])
+        p = gradient_map_segment(Branch.ZERO_VORTEX, 1.0, 1e-9)
         assert max(abs(v) for v in p) < 1e-8
 
     def test_branch_domains_enforced(self):
@@ -222,6 +233,16 @@ class TestGeometry:
             gradient_map_segment(Branch.ONE_VORTEX, 1.0, [0.5])
         with pytest.raises(DomainError):
             gradient_map_segment(Branch.ZERO_VORTEX, 1.0, [2.0])
+
+    def test_points_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError, match="not finite"):
+            gradient_map_segment(Branch.ONE_VORTEX, 1e200, [1.0, 1e200])
+        with pytest.raises(DomainError, match="not finite"):
+            squared_map(Branch.ONE_VORTEX, 1e200, 2.0)
+        with pytest.raises(DomainError, match="not finite"):
+            segment_involution_inverse((0.0, 0.0, 1e-310), 1e10)
+        with pytest.raises(DomainError):
+            gradient_map_segment(Branch.ONE_VORTEX, 1.0, [1.0, math.nan])
 
     def test_involution_example(self):
         assert segment_involution((2.0, 2.0, 2.0), 1.0) == (-0.5, -0.5, 0.5)
