@@ -64,7 +64,7 @@ def unit_step(x: float) -> float:
     return 1.0 if x >= 0.0 else 0.0
 
 
-def energy_of_potential(u_f: float, params: PhysicalParams) -> float:
+def energy_of_potential(u_f: float) -> float:
     """Total energy for a fixed potential: E = (12/5) U_f."""
     if u_f < 0.0:
         raise DomainError(f"potential must be non-negative, got {u_f}")

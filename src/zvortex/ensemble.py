@@ -26,6 +26,11 @@ from .vortex import (Branch, VortexSolution, collapse_time,
                      zero_vortex_lifetime)
 from .wavecore import DomainError
 
+# The largest expected number of productions, pair_production_rate * horizon,
+# that a run accepts. simulate holds about 14 bytes per produced event, so
+# this cap is about 14 GB.
+MAX_EXPECTED_EVENTS = 1e9
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -55,6 +60,11 @@ class EnsembleConfig:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.horizon <= 0.0:
             raise DomainError("horizon must be positive")
+        expected = self.pair_production_rate * self.horizon
+        if expected > MAX_EXPECTED_EVENTS:
+            raise DomainError(
+                f"pair_production_rate * horizon must be at most "
+                f"{MAX_EXPECTED_EVENTS:.0e} expected events, got {expected}")
         for name in ("seed", "digest_bits"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -128,65 +138,137 @@ class SimulationResult:
     bit_stream: str = field(repr=False, default="")
 
 
+# Each branch split covers this many arrivals, with one uniform draw.
+_SPLIT = 1 << 16
+# Each merge window places this many 1-bits among the 0-bits around them.
+_WINDOW = 1 << 14
+# Batches of room past the expected arrival count. Pages never written are
+# never resident, so the spare costs address space, not memory.
+_SPARE_BATCHES = 2
+
+
 def _arrival_times(rng: np.random.Generator, rate: float,
                    horizon: float) -> np.ndarray:
-    """Poisson arrival times on [0, horizon), batched exponential gaps."""
+    """Poisson arrival times on [0, horizon), batched exponential gaps.
+
+    Every batch is drawn into one buffer. The returned view of it is the
+    buffer the branch split compacts the 0-vortices into.
+    """
     batch = max(int(rate * horizon * 0.1) + 64, 1024)
-    times: list[np.ndarray] = []
-    t_last = 0.0
+    scale = 1.0 / rate
+    times = np.empty(batch * (int(rate * horizon) // batch + _SPARE_BATCHES))
+    stop, t_last = 0, 0.0
     while True:
-        arr = rng.exponential(1.0 / rate, size=batch)
+        if stop + batch > times.size:
+            grown = np.empty(2 * times.size + batch)
+            grown[:stop] = times[:stop]
+            times = grown
+        arr = times[stop:stop + batch]
+        # The same bits as rng.exponential(scale, batch).
+        rng.standard_exponential(out=arr)
+        arr *= scale
         np.cumsum(arr, out=arr)
         arr += t_last
         t_last = arr[-1]
         if t_last >= horizon:
             # Earlier batches end below the horizon; only this one is cut.
-            times.append(arr[:np.searchsorted(arr, horizon, "left")])
-            return np.concatenate(times)
-        times.append(arr)
+            return times[:stop + int(np.searchsorted(arr, horizon, "left"))]
+        stop += batch
 
 
-def _bit_stream(t0: np.ndarray, t1: np.ndarray, is_zero: np.ndarray) -> str:
-    """Merge the emitted runs of both branches into the ordered bit string.
+def _split_branches(rng: np.random.Generator, arrivals: np.ndarray,
+                    config: EnsembleConfig):
+    """Draw each arrival's branch and turn arrivals into emission times.
+
+    Returns ``(t0, t1, is_zero)``: the emission times of all 0- and
+    1-vortices in arrival order, and the branch of every arrival. ``t0``
+    overwrites the front of ``arrivals``; a sub-chunk's 0-vortices never
+    land beyond the sub-chunk they came from.
+    """
+    n = arrivals.size
+    is_zero = np.empty(n, dtype=bool)
+    t1 = np.empty(n)  # only the pages the 1-vortices fill become resident
+    uniforms = np.empty(min(n, _SPLIT))
+    prob_zero = config.prob_zero
+    life0, life1 = config.zero_lifetime, config.one_lifetime
+    n0 = n1 = 0
+    for lo in range(0, n, _SPLIT):
+        hi = min(lo + _SPLIT, n)
+        mask = is_zero[lo:hi]
+        np.less(rng.random(out=uniforms[:hi - lo]), prob_zero, out=mask)
+        chunk = arrivals[lo:hi]
+        zeros, ones = chunk[mask], chunk[~mask]
+        np.add(zeros, life0, out=arrivals[n0:n0 + zeros.size])
+        np.add(ones, life1, out=t1[n1:n1 + ones.size])
+        n0 += zeros.size
+        n1 += ones.size
+    return arrivals[:n0], t1[:n1], is_zero
+
+
+def _one_arrivals(is_zero: np.ndarray, ones_upto: np.ndarray,
+                  rank: np.ndarray) -> np.ndarray:
+    """Arrival indices of the 1-vortices of the given sorted ranks.
+
+    ``ones_upto[b]`` counts the 1-vortices among the first ``b`` blocks of
+    ``_SPLIT`` arrivals, so only the blocks holding these ranks are read.
+    """
+    first, last = np.searchsorted(ones_upto, rank[[0, -1]], "right") - 1
+    start = first * _SPLIT
+    found = np.flatnonzero(~is_zero[start:(last + 1) * _SPLIT])
+    return start + found[rank - ones_upto[first]]
+
+
+def _merge_bits(t0: np.ndarray, t1: np.ndarray,
+                is_zero: np.ndarray) -> np.ndarray:
+    """Merge the emitted runs of both branches into the ordered bit bytes.
 
     ``t0`` and ``t1`` are the sorted emission times of the emitted 0- and
     1-vortices, each a prefix of its branch in arrival order; ``is_zero``
     marks the branch of every arrival. A 1-bit lands after every earlier
     0-bit and every earlier 1-bit; a 0-bit emitted at the same instant goes
-    first when its vortex arrived first.
+    first when its vortex arrived first. The result holds one ASCII ``0``
+    or ``1`` per emitted bit.
     """
     n0, n1 = t0.size, t1.size
-    zeros_before = np.searchsorted(t0, t1, "left")
-    if n0 and n1:
-        tied = np.flatnonzero(t0[np.minimum(zeros_before, n0 - 1)] == t1)
-        if tied.size:
-            hi = np.searchsorted(t0, t1[tied], "right")
-            idx0 = np.flatnonzero(is_zero)[:n0]
-            idx1 = np.flatnonzero(~is_zero)[tied]
-            zeros_before[tied] = np.clip(np.searchsorted(idx0, idx1),
-                                         zeros_before[tied], hi)
-    zeros_before += np.arange(n1)
-    buf = np.full(n0 + n1, ord("0"), dtype=np.uint8)
-    buf[zeros_before] = ord("1")
-    return buf.tobytes().decode("ascii")
+    bits = np.full(n0 + n1, ord("0"), dtype=np.uint8)
+    ones_upto = None  # counted at the first tie
+    for a in range(0, n1, _WINDOW):
+        ones = t1[a:a + _WINDOW]
+        lo = int(np.searchsorted(t0, ones[0], "left"))
+        near = t0[lo:int(np.searchsorted(t0, ones[-1], "right"))]
+        before = np.searchsorted(near, ones, "left")
+        if near.size:
+            tied = np.flatnonzero(
+                near[np.minimum(before, near.size - 1)] == ones)
+            if tied.size:
+                last = np.searchsorted(near, ones[tied], "right")
+                if ones_upto is None:
+                    ones_upto = np.cumsum([0] + [
+                        np.count_nonzero(~is_zero[i:i + _SPLIT])
+                        for i in range(0, is_zero.size, _SPLIT)])
+                # A 1-vortex of rank j and arrival index A arrived after
+                # A - j 0-vortices.
+                rank = a + tied
+                arrived = _one_arrivals(is_zero, ones_upto, rank) - rank - lo
+                before[tied] = np.clip(arrived, before[tied], last)
+        before += np.arange(lo + a, lo + a + ones.size)
+        bits[before] = ord("1")
+    return bits
 
 
 def simulate(config: EnsembleConfig) -> SimulationResult:
     """Run the production/collapse process to the horizon."""
     rng = np.random.default_rng(config.seed)
     arrivals = _arrival_times(rng, config.pair_production_rate, config.horizon)
-    is_zero = rng.random(arrivals.size) < config.prob_zero
-    t0 = arrivals[is_zero]
-    t0 += config.zero_lifetime
-    t1 = arrivals[~is_zero]
-    t1 += config.one_lifetime
-    del arrivals
+    t0, t1, is_zero = _split_branches(rng, arrivals, config)
     emitted_zero = int(np.searchsorted(t0, config.horizon, "right"))
     emitted_one = int(np.searchsorted(t1, config.horizon, "right"))
-    bit_stream = _bit_stream(t0[:emitted_zero], t1[:emitted_one], is_zero)
-
+    bits = _merge_bits(t0[:emitted_zero], t1[:emitted_one], is_zero)
     produced_zero = t0.size
     produced_one = t1.size
+    # Free the population before the stream is copied into a str.
+    del arrivals, t0, t1, is_zero
+    bit_stream = str(bits, "ascii")
     ratio = (emitted_zero / emitted_one) if emitted_one else math.inf
 
     report = EnsembleReport(

@@ -44,6 +44,10 @@ class Branch(Enum):
         return Branch.ZERO_VORTEX if self is Branch.ONE_VORTEX else Branch.ONE_VORTEX
 
 
+def _overflow(what: str, k: float, s: float) -> DomainError:
+    return DomainError(f"{what} overflows the float range (k={k}, s={s})")
+
+
 def k_from_potential(u_f: float, params: PhysicalParams) -> float:
     """k = sqrt(2 m U_f / (5 hbar^2))."""
     if u_f < 0.0:
@@ -81,12 +85,17 @@ class VortexSolution:
         return self.branch.sign * self.k * self.s - 3.0 * self.k ** 2 * self.beta * t
 
     def z(self, t: float) -> float:
-        return math.exp(self.log_z(t))
+        try:
+            return math.exp(self.log_z(t))
+        except OverflowError:
+            raise _overflow("z", self.k, self.s) from None
 
     def psi(self, t: float) -> complex:
         """psi = z**(1+2i) = z * exp(2i ln z)."""
-        lz = self.log_z(t)
-        return cmath.exp(complex(C_X, C_Y) * lz)
+        try:
+            return cmath.exp(complex(C_X, C_Y) * self.log_z(t))
+        except OverflowError:
+            raise _overflow("psi", self.k, self.s) from None
 
     def to_field(self) -> ZField:
         """Full z(r_x, r_y, t) field with analytic partials.
@@ -220,9 +229,12 @@ def normalization_constant(sol: VortexSolution, s: float | None = None,
     beta = params.beta if params is not None else sol.beta
     ks = sol.k * sol.s
     root = sol.k * math.sqrt(6.0 * beta)
-    if sol.branch is Branch.ZERO_VORTEX:
-        return math.exp(ks) * root
-    em1 = math.expm1(2.0 * ks)
+    try:
+        if sol.branch is Branch.ZERO_VORTEX:
+            return math.exp(ks) * root
+        em1 = math.expm1(2.0 * ks)
+    except OverflowError:
+        raise _overflow("normalization constant", sol.k, sol.s) from None
     if em1 <= 0.0:
         raise DomainError("e^{2ks} - 1 underflows; ks too small to normalize")
     return root / math.sqrt(em1)
@@ -233,7 +245,10 @@ def vortex_ratio(k: float, s: float) -> float:
     if k * s <= 0.0:
         raise DomainError("k*s must be positive")
     ks = k * s
-    return math.exp(4.0 * ks) - math.exp(2.0 * ks)
+    try:
+        return math.exp(4.0 * ks) - math.exp(2.0 * ks)
+    except OverflowError:
+        raise _overflow("vortex ratio", k, s) from None
 
 
 Point3 = tuple  # (p_x, p_y, p_z): floats, or arrays of one shape

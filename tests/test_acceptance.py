@@ -174,7 +174,7 @@ def test_criterion_6_normalization():
 
 
 def test_criterion_7_energy_ladder():
-    ok1 = (zv.energy_of_potential(2.5, NAT) == pytest.approx(6.0, abs=1e-12)
+    ok1 = (zv.energy_of_potential(2.5) == pytest.approx(6.0, abs=1e-12)
            and zv.k_from_potential(2.5, NAT) == pytest.approx(1.0, abs=1e-12))
     lad = zv.EnergyLadder((1.0, 3.0, 7.0))
     ok2 = abs(zv.potential_of_energy(lad, 5.0) - 1.25) < 1e-12

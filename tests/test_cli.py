@@ -348,6 +348,9 @@ class TestBadInput:
                      id="ensemble-digest_bits-negative"),
         pytest.param("ensemble", {**ENSEMBLE, "digest_bits": 2.5}, [], None, 2,
                      id="ensemble-digest_bits-float"),
+        pytest.param("ensemble", {**ENSEMBLE, "pair_production_rate": 1e200,
+                                  "horizon": 1e200}, [], None, 1,
+                     id="ensemble-expected-events-overflow"),
     ])
     def test_fresh_interpreter(self, tmp_path, command, params, args, env, code):
         path = write_params(tmp_path, params)

@@ -56,16 +56,16 @@ class TestLadderType:
 
 class TestEnergyRelation:
     def test_zero(self):
-        assert energy_of_potential(0.0, NAT) == 0.0
+        assert energy_of_potential(0.0) == 0.0
 
     def test_cross_identity(self):
         # E = 12/5 U_f must equal 6 k^2 hbar^2 / m
         for u_f in (2.5, 5.0, 0.7):
-            E = energy_of_potential(u_f, NAT)
+            E = energy_of_potential(u_f)
             k = k_from_potential(u_f, NAT)
             assert E == pytest.approx(6.0 * k * k, rel=1e-12)
-        assert energy_of_potential(2.5, NAT) == pytest.approx(6.0)
-        assert energy_of_potential(5.0, NAT) == pytest.approx(12.0)
+        assert energy_of_potential(2.5) == pytest.approx(6.0)
+        assert energy_of_potential(5.0) == pytest.approx(12.0)
 
 
 class TestLevelIndex:
@@ -138,7 +138,7 @@ class TestPotentialOfEnergy:
         lad = EnergyLadder((1.0, 3.0, 7.0))
         for E in (1.0, 2.9, 5.0, 50.0):
             j = level_index(lad, E)
-            back = energy_of_potential(potential_of_energy(lad, E), NAT)
+            back = energy_of_potential(potential_of_energy(lad, E))
             assert back == pytest.approx(lad.eigenvalues[j], rel=1e-14)
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from zvortex import ensemble
 from zvortex import (
     DomainError,
     EnsembleConfig,
@@ -14,7 +15,7 @@ from zvortex import (
     simulate,
     steady_state_counts,
 )
-from zvortex.ensemble import _bit_stream
+from zvortex.ensemble import _merge_bits
 
 
 def make_config(**kw):
@@ -104,6 +105,17 @@ class TestConfig:
         with pytest.raises(DomainError, match=name):
             make_config(**{name: -3})
 
+    @pytest.mark.parametrize("rate,horizon", [(1e200, 1e200), (1e6, 1001.0)])
+    def test_expected_events_capped(self, rate, horizon):
+        with pytest.raises(DomainError, match="pair_production_rate"):
+            make_config(pair_production_rate=rate, horizon=horizon)
+
+    def test_expected_events_at_the_cap_accepted(self):
+        # Constructed only: a run this size needs about 14 GB.
+        cfg = make_config(pair_production_rate=1e6, horizon=1000.0)
+        assert cfg.pair_production_rate * cfg.horizon == \
+            ensemble.MAX_EXPECTED_EVENTS
+
     @pytest.mark.parametrize("value", [2.5, True, "8"])
     def test_non_integer_digest_bits_rejected(self, value):
         with pytest.raises(TypeError, match="digest_bits"):
@@ -191,27 +203,33 @@ class TestSimulate:
 # e^{-2ks} < epsilon < e^{-ks}: 0-vortices die before 1-vortices.
 EPS_ZERO_FIRST = 0.2
 
+ORACLE_CONFIGS = [
+    {},
+    {"ratio_zero_to_one": 0.0},
+    {"ratio_zero_to_one": 1e3},
+    {"ratio_zero_to_one": 0.05, "pair_production_rate": 3000.0},
+    {"horizon": 0.25},  # shorter than both lifetimes: empty stream
+    {"epsilon": EPS_ZERO_FIRST},
+    {"epsilon": EPS_ZERO_FIRST, "horizon": 0.3},
+    {"digest_bits": 10 ** 6},
+    {"pair_production_rate": 2.0, "horizon": 3.0},
+    {"k": 0.4, "s": 2.5, "beta": 0.7, "epsilon": 1e-3, "horizon": 9.0},
+]
+
+
+def assert_matches_oracle(cfg):
+    new, old = simulate(cfg), oracle_simulate(cfg)
+    assert new.bit_stream == old.bit_stream
+    assert new.report.to_json() == old.report.to_json()
+    assert new == old
+    return old
+
 
 class TestOracle:
-    @pytest.mark.parametrize("kw", [
-        {},
-        {"ratio_zero_to_one": 0.0},
-        {"ratio_zero_to_one": 1e3},
-        {"ratio_zero_to_one": 0.05, "pair_production_rate": 3000.0},
-        {"horizon": 0.25},  # shorter than both lifetimes: empty stream
-        {"epsilon": EPS_ZERO_FIRST},
-        {"epsilon": EPS_ZERO_FIRST, "horizon": 0.3},
-        {"digest_bits": 10 ** 6},
-        {"pair_production_rate": 2.0, "horizon": 3.0},
-        {"k": 0.4, "s": 2.5, "beta": 0.7, "epsilon": 1e-3, "horizon": 9.0},
-    ])
+    @pytest.mark.parametrize("kw", ORACLE_CONFIGS)
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_matches_argsort_engine(self, kw, seed):
-        cfg = make_config(**{"seed": seed, **kw})
-        new, old = simulate(cfg), oracle_simulate(cfg)
-        assert new.bit_stream == old.bit_stream
-        assert new.report.to_json() == old.report.to_json()
-        assert new == old
+        assert_matches_oracle(make_config(**{"seed": seed, **kw}))
 
     def test_edge_cases_are_reached(self):
         assert make_config(epsilon=EPS_ZERO_FIRST).zero_lifetime < \
@@ -221,23 +239,106 @@ class TestOracle:
         assert long_digest.report.bit_sequence_digest == long_digest.bit_stream
 
     def test_merge_breaks_ties_by_arrival(self):
-        # Integer-valued times make cross-branch ties common; the stable
-        # argsort of the emission times in arrival order is the reference.
-        rng = np.random.default_rng(2024)
-        for case in range(500):
-            n = int(rng.integers(0, 60))
-            arrivals = np.sort(rng.integers(0, 12, size=n)).astype(float)
-            is_zero = rng.random(n) < rng.uniform(0.0, 1.0)
-            life0, life1 = (float(v) for v in rng.integers(0, 6, size=2))
-            horizon = float(rng.integers(0, 18))
-            emission = np.where(is_zero, arrivals + life0, arrivals + life1)
-            emitted = emission <= horizon
-            order = np.argsort(emission[emitted], kind="stable")
-            expected = "".join("01"[b] for b in
-                               np.where(is_zero[emitted], 0, 1)[order])
-            t0 = arrivals[is_zero & emitted] + life0
-            t1 = arrivals[~is_zero & emitted] + life1
-            assert _bit_stream(t0, t1, is_zero) == expected, case
+        for case, (t0, t1, is_zero, expected) in enumerate(tie_cases()):
+            assert _merge_bits(t0, t1, is_zero).tobytes().decode() == expected, case
+
+    @pytest.mark.parametrize("window,split", [(1, 1), (2, 3), (5, 8)])
+    def test_merge_ties_straddle_windows(self, monkeypatch, window, split):
+        monkeypatch.setattr(ensemble, "_WINDOW", window)
+        monkeypatch.setattr(ensemble, "_SPLIT", split)
+        straddling = 0
+        for case, (t0, t1, is_zero, expected) in enumerate(tie_cases()):
+            assert _merge_bits(t0, t1, is_zero).tobytes().decode() == expected, case
+            # The first 1-bit of a window and the last of the one before
+            # are tied with the same 0-bits.
+            first = np.arange(window, t1.size, window)
+            straddling += np.count_nonzero(
+                (t1[first] == t1[first - 1]) & np.isin(t1[first], t0))
+        assert straddling > 100
+
+
+def tie_cases():
+    """500 merges of integer-valued times, where cross-branch ties are
+    common, each with its expected bits: the stable argsort of the emission
+    times in arrival order."""
+    rng = np.random.default_rng(2024)
+    for _ in range(500):
+        n = int(rng.integers(0, 60))
+        arrivals = np.sort(rng.integers(0, 12, size=n)).astype(float)
+        is_zero = rng.random(n) < rng.uniform(0.0, 1.0)
+        life0, life1 = (float(v) for v in rng.integers(0, 6, size=2))
+        horizon = float(rng.integers(0, 18))
+        emission = np.where(is_zero, arrivals + life0, arrivals + life1)
+        emitted = emission <= horizon
+        order = np.argsort(emission[emitted], kind="stable")
+        expected = "".join("01"[b] for b in
+                           np.where(is_zero[emitted], 0, 1)[order])
+        t0 = arrivals[is_zero & emitted] + life0
+        t1 = arrivals[~is_zero & emitted] + life1
+        yield t0, t1, is_zero, expected
+
+
+class TestEngineEdges:
+    """The buffer, sub-chunk and window edges of simulate, held to the
+    argsort engine."""
+
+    def test_exponential_fill_matches_exponential(self):
+        # _arrival_times relies on this to keep the parent's random stream.
+        scale = 1.0 / 3.7
+        ref, rng = np.random.default_rng(5), np.random.default_rng(5)
+        b = np.empty(100_000)
+        rng.standard_exponential(out=b)
+        b *= scale
+        assert b.tobytes() == ref.exponential(scale, 100_000).tobytes()
+        # The uniforms that follow, drawn in blocks, are the same too.
+        u = np.empty(70_000)
+        rng.random(out=u[:65_536])
+        rng.random(out=u[65_536:])
+        assert u.tobytes() == ref.random(70_000).tobytes()
+
+    @pytest.mark.parametrize("kw", ORACLE_CONFIGS)
+    def test_small_blocks(self, monkeypatch, kw):
+        # Sub-chunks of 7 arrivals, windows of 5 1-bits and no spare room
+        # in the arrival buffer, so it grows.
+        monkeypatch.setattr(ensemble, "_SPLIT", 7)
+        monkeypatch.setattr(ensemble, "_WINDOW", 5)
+        monkeypatch.setattr(ensemble, "_SPARE_BATCHES", 0)
+        assert_matches_oracle(make_config(**kw))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_sub_chunk_and_window_edges(self, monkeypatch, offset):
+        cfg = make_config(pair_production_rate=40.0, seed=3)
+        old = oracle_simulate(cfg).report
+        # The last sub-chunk holds 1, 0 or 2 arrivals: produced is S - 1,
+        # S or S + 1; the last window holds W - 1, W or W + 1 1-bits.
+        for split in (old.produced - offset, (old.produced - offset) // 2):
+            for window in (old.emitted_one - offset,
+                           (old.emitted_one - offset) // 2):
+                monkeypatch.setattr(ensemble, "_SPLIT", split)
+                monkeypatch.setattr(ensemble, "_WINDOW", window)
+                assert_matches_oracle(cfg)
+
+    def test_empty_branches(self):
+        none_zero = assert_matches_oracle(make_config(ratio_zero_to_one=0.0))
+        assert none_zero.report.produced_zero == 0
+        none_one = assert_matches_oracle(make_config(
+            ratio_zero_to_one=1e3, pair_production_rate=50.0, seed=0))
+        assert none_one.report.produced_one == 0
+
+    def test_horizon_inside_first_batch(self):
+        rate, horizon = 2.0, 3.0
+        new = ensemble._arrival_times(np.random.default_rng(1), rate, horizon)
+        old = _oracle_arrival_times(np.random.default_rng(1), rate, horizon)
+        assert new.tobytes() == old.tobytes()
+        assert 0 < new.size < 1024  # the first batch holds 1024 gaps
+
+    def test_a_million_events(self):
+        cfg = make_config(pair_production_rate=5e4, ratio_zero_to_one=2.0,
+                          seed=11)
+        old = assert_matches_oracle(cfg)
+        batch = int(cfg.pair_production_rate * cfg.horizon * 0.1) + 64
+        assert old.report.produced > 9 * batch  # ten arrival batches
+        assert old.report.emitted > 500_000
 
 
 class TestSteadyState:

@@ -219,6 +219,28 @@ class TestNormalization:
         assert vortex_ratio(1.0, 1e-9) == pytest.approx(0.0, abs=1e-6)
 
 
+class TestOverflow:
+    """Past k s of about 709 the closed forms leave the float range; each
+    says so with a DomainError, at k 1000 and s 1."""
+
+    def test_z(self):
+        with pytest.raises(DomainError, match="z overflows"):
+            VortexSolution(Branch.ONE_VORTEX, k=1000.0, s=1.0).z(0.0)
+
+    def test_psi(self):
+        with pytest.raises(DomainError, match="psi overflows"):
+            VortexSolution(Branch.ONE_VORTEX, k=1000.0, s=1.0).psi(0.0)
+
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_normalization_constant(self, branch):
+        with pytest.raises(DomainError, match="normalization constant"):
+            normalization_constant(VortexSolution(branch, k=1000.0, s=1.0))
+
+    def test_vortex_ratio(self):
+        with pytest.raises(DomainError, match="vortex ratio"):
+            vortex_ratio(1000.0, 1.0)
+
+
 class TestGeometry:
     def test_segment_endpoints(self):
         assert gradient_map_segment(Branch.ONE_VORTEX, 1.0, 1.0) == (1.0, 1.0, 1.0)
