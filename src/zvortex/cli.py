@@ -26,6 +26,12 @@ from .tables import format_rows
 from .wavecore import CParam, DomainError
 
 TOLERANCE_ENV = "ZVORTEX_TOLERANCE"
+# The most trajectory steps and geometry points a command accepts: either
+# output is then at most about 150 MB (a trajectory writes 100-150 bytes a
+# step, the geometry 450-650 bytes a point), built in memory before it is
+# written.
+MAX_STEPS = 10 ** 6
+MAX_POINTS = 2 * 10 ** 5
 
 
 def _fmt(x: float) -> str:
@@ -90,12 +96,16 @@ def _numbers(params: dict, key: str, default: list | None = None) -> list:
     return values
 
 
-def _count(params: dict, key: str, default: int, minimum: int) -> int:
-    """``params[key]`` (or the default), which must be an integer >= minimum."""
+def _count(params: dict, key: str, default: int, minimum: int,
+           maximum: int) -> int:
+    """``params[key]`` (or the default), which must be an integer >= minimum.
+    A count above maximum is a domain error."""
     value = params.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise click.UsageError(
             f"{key} must be an integer >= {minimum}, got {value!r}")
+    if value > maximum:
+        raise DomainError(f"{key} must be at most {maximum}, got {value}")
     return value
 
 
@@ -261,7 +271,9 @@ def cmd_verify(params_path, out_path, fmt, hbar, mass):
 @cli.command("trajectory")
 @_options(*_io_options("csv"), *_hbar_mass)
 def cmd_trajectory(params_path, out_path, fmt, hbar, mass):
-    """Sample the (u, v)-plane vortex trajectory."""
+    """Sample the (u, v)-plane vortex trajectory.
+
+    ``steps`` (default 100) is at most MAX_STEPS, 10^6."""
     params = _load_params(params_path)
     phys = _physical(params, hbar, mass)
     try:
@@ -277,7 +289,7 @@ def cmd_trajectory(params_path, out_path, fmt, hbar, mass):
     else:
         raise click.UsageError("params must provide k or u_f")
     t_max = _number(params, "t_max", 1.0)
-    steps = _count(params, "steps", 100, minimum=0)
+    steps = _count(params, "steps", 100, minimum=0, maximum=MAX_STEPS)
     t_grid = [t_max * i / (steps - 1) for i in range(steps)] if steps > 1 \
         else ([0.0] if steps == 1 else [])
     traj = vx.trajectory(sol, t_grid=t_grid)
@@ -335,9 +347,11 @@ def cmd_ensemble(params_path, out_path, fmt, seed, bits_out):
         config = ensemble_mod.EnsembleConfig(**params)
     except TypeError as exc:
         raise click.UsageError(f"bad ensemble config: {exc}")
-    result = ensemble_mod.simulate(config)
-    if bits_out:
-        _emit(bits_out, result.bit_stream, "\n")
+    # The bits are written as they are merged; without --bits-out they are
+    # discarded.
+    with open(bits_out or os.devnull, "wb") as bits:
+        result = ensemble_mod.simulate(config, bits)
+        bits.write(b"\n")
     if fmt == "json":
         _emit(out_path, result.report.to_json(), "\n")
     else:
@@ -355,10 +369,12 @@ def cmd_ensemble(params_path, out_path, fmt, seed, bits_out):
 @cli.command("geometry")
 @_options(*_io_options("csv"))
 def cmd_geometry(params_path, out_path, fmt):
-    """Sample the gradient-map segments, involution images, and squared ray."""
+    """Sample the gradient-map segments, involution images, and squared ray.
+
+    ``n`` (default 50) is at most MAX_POINTS, 2 x 10^5."""
     params = _load_params(params_path)
     k = _number(params, "k", 1.0)
-    n = _count(params, "n", 50, minimum=2)
+    n = _count(params, "n", 50, minimum=2, maximum=MAX_POINTS)
     z_max = _number(params, "z_max", 4.0)
     if z_max <= 0.0:
         raise click.UsageError(f"z_max must be positive, got {z_max!r}")

@@ -11,13 +11,25 @@ The bit stream lists the emitted bits in emission-time order; bits emitted
 at the same instant keep the order in which their vortices were produced
 (arrival index). With only two lifetimes, each branch's emission times
 inherit the arrival order, so the stream is a merge of two sorted runs.
+
+simulate makes two passes over the random stream. Every exponential gap is
+drawn before the first branch uniform, so the first pass draws the gaps
+only to find where the uniforms begin. The second draws the gaps again,
+with the uniforms alongside, in chunks of 2^16 arrivals, and after each
+chunk merges and writes every bit that no later arrival can precede.
+Memory is therefore set by the lifetime gap, not by the number of events:
+what waits is the longer-lived branch's emissions, about
+rate * p_b * min(|L0 - L1|, horizon) entries of 8 or 16 bytes.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
+import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +39,11 @@ from .vortex import (Branch, VortexSolution, collapse_time,
 from .wavecore import DomainError
 
 # The largest expected number of productions, pair_production_rate * horizon,
-# that a run accepts. simulate holds about 14 bytes per produced event, so
-# this cap is about 14 GB.
+# that a run accepts. It bounds run time, about 50 ns per event on a 2-CPU
+# host (under a minute at the cap), not memory: with a sink, simulate holds
+# only the emissions pending within the lifetime gap. Without one, the
+# returned bit stream takes a byte per emitted bit, and as much again while
+# it is built.
 MAX_EXPECTED_EVENTS = 1e9
 
 
@@ -132,106 +147,70 @@ class EnsembleReport:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Report plus the full emission record for downstream analysis."""
+    """Report, plus the whole bit stream when simulate was given no sink."""
 
     report: EnsembleReport
     bit_stream: str = field(repr=False, default="")
 
 
-# Each branch split covers this many arrivals, with one uniform draw.
-_SPLIT = 1 << 16
+# Arrivals are drawn, split into branches and flushed this many at a time.
+_CHUNK = 1 << 16
 # Each merge window places this many 1-bits among the 0-bits around them.
 _WINDOW = 1 << 14
-# Batches of room past the expected arrival count. Pages never written are
-# never resident, so the spare costs address space, not memory.
-_SPARE_BATCHES = 2
 
 
-def _arrival_times(rng: np.random.Generator, rate: float,
-                   horizon: float) -> np.ndarray:
-    """Poisson arrival times on [0, horizon), batched exponential gaps.
+def _arrival_times(rng: np.random.Generator, rate: float, horizon: float):
+    """Poisson arrival times from batched exponential gaps, in chunks.
 
-    Every batch is drawn into one buffer. The returned view of it is the
-    buffer the branch split compacts the 0-vortices into.
+    Gaps are drawn in batches of a tenth of the expected count plus 64 (at
+    least 1,024), up to and including the first batch that ends at or past
+    the horizon. Each batch's arrival times are
+    ``t_last + np.cumsum(rng.exponential(1 / rate, batch))``, bit for bit:
+    a batch is drawn in segments, and a segment's cumsum continues the one
+    before when the carry is added to its first gap. The times are yielded
+    in chunks of ``_CHUNK`` (the last one shorter), each a view of one
+    buffer that the next chunk overwrites.
     """
     batch = max(int(rate * horizon * 0.1) + 64, 1024)
     scale = 1.0 / rate
-    times = np.empty(batch * (int(rate * horizon) // batch + _SPARE_BATCHES))
-    stop, t_last = 0, 0.0
+    buf = np.empty(_CHUNK)
+    pos, left, carry, t_last = 0, batch, 0.0, 0.0
     while True:
-        if stop + batch > times.size:
-            grown = np.empty(2 * times.size + batch)
-            grown[:stop] = times[:stop]
-            times = grown
-        arr = times[stop:stop + batch]
-        # The same bits as rng.exponential(scale, batch).
-        rng.standard_exponential(out=arr)
-        arr *= scale
-        np.cumsum(arr, out=arr)
-        arr += t_last
-        t_last = arr[-1]
-        if t_last >= horizon:
-            # Earlier batches end below the horizon; only this one is cut.
-            return times[:stop + int(np.searchsorted(arr, horizon, "left"))]
-        stop += batch
+        seg = buf[pos:pos + min(left, _CHUNK - pos)]
+        # The same bits as rng.exponential(scale, seg.size).
+        rng.standard_exponential(out=seg)
+        seg *= scale
+        seg[0] += carry
+        np.cumsum(seg, out=seg)
+        carry = seg[-1]
+        seg += t_last
+        pos += seg.size
+        left -= seg.size
+        if not left:
+            t_last += carry
+            if t_last >= horizon:
+                yield buf[:pos]
+                return
+            left, carry = batch, 0.0
+        if pos == _CHUNK:
+            yield buf
+            pos = 0
 
 
-def _split_branches(rng: np.random.Generator, arrivals: np.ndarray,
-                    config: EnsembleConfig):
-    """Draw each arrival's branch and turn arrivals into emission times.
+def _merge_bits(t0: np.ndarray, t1: np.ndarray, arrival1: np.ndarray,
+                placed: int = 0) -> np.ndarray:
+    """Merge runs of both branches' emissions into the ordered bit bytes.
 
-    Returns ``(t0, t1, is_zero)``: the emission times of all 0- and
-    1-vortices in arrival order, and the branch of every arrival. ``t0``
-    overwrites the front of ``arrivals``; a sub-chunk's 0-vortices never
-    land beyond the sub-chunk they came from.
-    """
-    n = arrivals.size
-    is_zero = np.empty(n, dtype=bool)
-    t1 = np.empty(n)  # only the pages the 1-vortices fill become resident
-    uniforms = np.empty(min(n, _SPLIT))
-    prob_zero = config.prob_zero
-    life0, life1 = config.zero_lifetime, config.one_lifetime
-    n0 = n1 = 0
-    for lo in range(0, n, _SPLIT):
-        hi = min(lo + _SPLIT, n)
-        mask = is_zero[lo:hi]
-        np.less(rng.random(out=uniforms[:hi - lo]), prob_zero, out=mask)
-        chunk = arrivals[lo:hi]
-        zeros, ones = chunk[mask], chunk[~mask]
-        np.add(zeros, life0, out=arrivals[n0:n0 + zeros.size])
-        np.add(ones, life1, out=t1[n1:n1 + ones.size])
-        n0 += zeros.size
-        n1 += ones.size
-    return arrivals[:n0], t1[:n1], is_zero
-
-
-def _one_arrivals(is_zero: np.ndarray, ones_upto: np.ndarray,
-                  rank: np.ndarray) -> np.ndarray:
-    """Arrival indices of the 1-vortices of the given sorted ranks.
-
-    ``ones_upto[b]`` counts the 1-vortices among the first ``b`` blocks of
-    ``_SPLIT`` arrivals, so only the blocks holding these ranks are read.
-    """
-    first, last = np.searchsorted(ones_upto, rank[[0, -1]], "right") - 1
-    start = first * _SPLIT
-    found = np.flatnonzero(~is_zero[start:(last + 1) * _SPLIT])
-    return start + found[rank - ones_upto[first]]
-
-
-def _merge_bits(t0: np.ndarray, t1: np.ndarray,
-                is_zero: np.ndarray) -> np.ndarray:
-    """Merge the emitted runs of both branches into the ordered bit bytes.
-
-    ``t0`` and ``t1`` are the sorted emission times of the emitted 0- and
-    1-vortices, each a prefix of its branch in arrival order; ``is_zero``
-    marks the branch of every arrival. A 1-bit lands after every earlier
-    0-bit and every earlier 1-bit; a 0-bit emitted at the same instant goes
-    first when its vortex arrived first. The result holds one ASCII ``0``
-    or ``1`` per emitted bit.
+    ``t0`` and ``t1`` are the sorted emission times of consecutive 0- and
+    1-vortices in arrival order, and ``arrival1`` holds the arrival index
+    of each 1-vortex. They follow the ``placed`` bits already merged, which
+    are the earlier vortices of both branches. A 1-bit lands after every
+    earlier 0-bit and every earlier 1-bit; a 0-bit emitted at the same
+    instant goes first when its vortex arrived first. The result holds one
+    ASCII ``0`` or ``1`` per bit.
     """
     n0, n1 = t0.size, t1.size
     bits = np.full(n0 + n1, ord("0"), dtype=np.uint8)
-    ones_upto = None  # counted at the first tie
     for a in range(0, n1, _WINDOW):
         ones = t1[a:a + _WINDOW]
         lo = int(np.searchsorted(t0, ones[0], "left"))
@@ -242,46 +221,148 @@ def _merge_bits(t0: np.ndarray, t1: np.ndarray,
                 near[np.minimum(before, near.size - 1)] == ones)
             if tied.size:
                 last = np.searchsorted(near, ones[tied], "right")
-                if ones_upto is None:
-                    ones_upto = np.cumsum([0] + [
-                        np.count_nonzero(~is_zero[i:i + _SPLIT])
-                        for i in range(0, is_zero.size, _SPLIT)])
-                # A 1-vortex of rank j and arrival index A arrived after
-                # A - j 0-vortices.
+                # A 1-vortex of arrival index A that follows j 1-vortices
+                # arrived after A - j 0-vortices.
                 rank = a + tied
-                arrived = _one_arrivals(is_zero, ones_upto, rank) - rank - lo
+                arrived = arrival1[rank] - rank - placed - lo
                 before[tied] = np.clip(arrived, before[tied], last)
         before += np.arange(lo + a, lo + a + ones.size)
         bits[before] = ord("1")
     return bits
 
 
-def simulate(config: EnsembleConfig) -> SimulationResult:
-    """Run the production/collapse process to the horizon."""
-    rng = np.random.default_rng(config.seed)
-    arrivals = _arrival_times(rng, config.pair_production_rate, config.horizon)
-    t0, t1, is_zero = _split_branches(rng, arrivals, config)
-    emitted_zero = int(np.searchsorted(t0, config.horizon, "right"))
-    emitted_one = int(np.searchsorted(t1, config.horizon, "right"))
-    bits = _merge_bits(t0[:emitted_zero], t1[:emitted_one], is_zero)
-    produced_zero = t0.size
-    produced_one = t1.size
-    # Free the population before the stream is copied into a str.
-    del arrivals, t0, t1, is_zero
-    bit_stream = str(bits, "ascii")
-    ratio = (emitted_zero / emitted_one) if emitted_one else math.inf
+class _Pending:
+    """Emitted vortices of one branch waiting to be merged, in arrival
+    order: a queue of column tuples, the first column the emission time."""
 
-    report = EnsembleReport(
-        produced_zero=produced_zero,
-        produced_one=produced_one,
-        emitted_zero=emitted_zero,
-        emitted_one=emitted_one,
-        live_zero=produced_zero - emitted_zero,
-        live_one=produced_one - emitted_one,
-        bit_sequence_digest=bit_stream[:config.digest_bits],
-        empirical_ratio=ratio,
-    )
-    return SimulationResult(report=report, bit_stream=bit_stream)
+    def __init__(self, *dtypes):
+        self.dtypes = dtypes
+        self.parts: deque = deque()
+
+    def push(self, *columns):
+        if columns[0].size:
+            self.parts.append(columns)
+
+    def pop_before(self, cut: float) -> tuple:
+        """Remove and return the columns of the entries emitted before cut."""
+        taken = []
+        while self.parts:
+            part = self.parts[0]
+            n = int(np.searchsorted(part[0], cut, "left"))
+            if n < part[0].size:
+                if n:
+                    taken.append(tuple(c[:n] for c in part))
+                    self.parts[0] = tuple(c[n:] for c in part)
+                break
+            taken.append(self.parts.popleft())
+        if len(taken) == 1:
+            return taken[0]
+        return tuple(np.concatenate([p[i] for p in taken] or [np.empty(0, d)])
+                     for i, d in enumerate(self.dtypes))
+
+
+class _BitStream:
+    """Merges the emissions of arrivals, taken in order, into the bit
+    stream, and writes each bit to ``out`` once no later arrival can
+    precede it.
+
+    After arrivals up to time t, a later arrival emits no earlier than
+    t + min(L0, L1), so every pending emission strictly earlier than that
+    is merged and written; equal emission times are never split between
+    two flushes. An emission past the horizon is counted, never stored.
+    What waits is the longer-lived branch's emissions from the last
+    |L0 - L1| of arrivals: about rate * p_b * min(|L0 - L1|, horizon)
+    entries of 8 bytes (16 for 1-vortices, which carry their arrival index
+    for the tie break).
+    """
+
+    def __init__(self, life0: float, life1: float, horizon: float, out,
+                 digest_bits: int):
+        self.lives = (life0, life1)
+        self.horizon = horizon
+        self.out = out
+        self.digest_bits = digest_bits
+        self.head = bytearray()
+        self.pending = (_Pending(np.float64), _Pending(np.float64, np.intp))
+        self.produced = [0, 0]
+        self.emitted = [0, 0]
+        self.arrived = self.written = 0
+
+    def add(self, arrivals: np.ndarray, is_zero: np.ndarray,
+            final: bool = False) -> None:
+        """Take the next arrivals and their branches, then flush; ``final``
+        marks the last arrivals and flushes everything."""
+        n0 = int(np.count_nonzero(is_zero))
+        self.produced[0] += n0
+        self.produced[1] += arrivals.size - n0
+        # Emission times grow with arrival time in each branch, so a branch
+        # whose first emission here is past the horizon has none to store.
+        life0, life1 = self.lives
+        if arrivals.size and arrivals[0] + life0 <= self.horizon:
+            t0 = np.compress(is_zero, arrivals)
+            t0 += life0
+            e0 = int(np.searchsorted(t0, self.horizon, "right"))
+            self.pending[0].push(t0[:e0])
+            self.emitted[0] += e0
+        if arrivals.size and arrivals[0] + life1 <= self.horizon:
+            one_at = np.flatnonzero(~is_zero)
+            t1 = arrivals.take(one_at)
+            t1 += life1
+            e1 = int(np.searchsorted(t1, self.horizon, "right"))
+            self.pending[1].push(t1[:e1], one_at[:e1] + self.arrived)
+            self.emitted[1] += e1
+        self.arrived += arrivals.size
+        cut = math.inf if final else arrivals[-1] + min(self.lives)
+        (f0,), (f1, a1) = (p.pop_before(cut) for p in self.pending)
+        bits = _merge_bits(f0, f1, a1, self.written)
+        self.out.write(bits)
+        self.written += bits.size
+        if len(self.head) < self.digest_bits:
+            self.head += bits[:self.digest_bits - len(self.head)].tobytes()
+
+    def report(self) -> EnsembleReport:
+        (p0, p1), (e0, e1) = self.produced, self.emitted
+        return EnsembleReport(
+            produced_zero=p0,
+            produced_one=p1,
+            emitted_zero=e0,
+            emitted_one=e1,
+            live_zero=p0 - e0,
+            live_one=p1 - e1,
+            bit_sequence_digest=self.head.decode("ascii"),
+            empirical_ratio=(e0 / e1) if e1 else math.inf,
+        )
+
+
+def simulate(config: EnsembleConfig, sink=None) -> SimulationResult:
+    """Run the production/collapse process to the horizon.
+
+    The bits go to ``sink``, a binary file, as they are merged; without a
+    sink they are returned as the result's ``bit_stream``.
+    """
+    rate, horizon = config.pair_production_rate, config.horizon
+    # Pass 1: every gap is drawn before the first branch uniform, so the
+    # uniforms start where the gaps of the last batch end.
+    branch_rng = np.random.default_rng(config.seed)
+    for _ in _arrival_times(branch_rng, rate, horizon):
+        pass
+    # Pass 2 draws the gaps again, with the uniforms alongside.
+    out = io.BytesIO() if sink is None else sink
+    stream = _BitStream(config.zero_lifetime, config.one_lifetime, horizon,
+                        out, config.digest_bits)
+    for arrivals in _arrival_times(np.random.default_rng(config.seed), rate,
+                                   horizon):
+        final = arrivals[-1] >= horizon
+        if final:
+            arrivals = arrivals[:int(np.searchsorted(arrivals, horizon, "left"))]
+        stream.add(arrivals, branch_rng.random(arrivals.size) < config.prob_zero,
+                   final)
+        if final:
+            break
+    if sink is not None:
+        return SimulationResult(report=stream.report())
+    return SimulationResult(report=stream.report(),
+                            bit_stream=out.getvalue().decode("ascii"))
 
 
 def steady_state_counts(config: EnsembleConfig) -> tuple[float, float]:
@@ -348,8 +429,8 @@ def equalization_check(config: EnsembleConfig) -> EqualizationReport:
     bands, which is equivalent to the emission-rate ratio matching the
     production ratio.
     """
-    result = simulate(config)
-    rep = result.report
+    with open(os.devnull, "wb") as discard:
+        rep = simulate(config, discard).report
     mu_zero, mu_one = expected_emissions(config)
     within = True
     for count, mu in ((rep.emitted_zero, mu_zero), (rep.emitted_one, mu_one)):

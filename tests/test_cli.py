@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import zvortex
+from zvortex import cli as cli_mod
 from zvortex.cli import cli
 
 
@@ -163,6 +164,24 @@ class TestEnsemble:
         assert set(stream) <= {"0", "1"}
         assert len(stream) == report["emitted_zero"] + report["emitted_one"]
 
+    def test_bits_file_is_the_stream(self, runner, tmp_path):
+        params = write_params(tmp_path, self.config())
+        bits_path = tmp_path / "bits.txt"
+        result = runner.invoke(cli, ["ensemble", "--params", params,
+                                     "--bits-out", str(bits_path)])
+        assert result.exit_code == 0
+        kept = zvortex.simulate(zvortex.EnsembleConfig(**self.config()))
+        assert bits_path.read_bytes() == (kept.bit_stream + "\n").encode()
+        assert json.loads(result.output) == kept.report.to_dict()
+
+    def test_invalid_config_writes_no_bits_file(self, runner, tmp_path):
+        params = write_params(tmp_path, {**self.config(), "epsilon": 0.9})
+        bits_path = tmp_path / "bits.txt"
+        result = runner.invoke(cli, ["ensemble", "--params", params,
+                                     "--bits-out", str(bits_path)])
+        assert result.exit_code == 1
+        assert not bits_path.exists()
+
     def test_csv_round_trips_json(self, runner, tmp_path):
         params = write_params(tmp_path, self.config())
         as_json = runner.invoke(cli, ["ensemble", "--params", params,
@@ -313,6 +332,10 @@ class TestBadInput:
                      id="trajectory-steps-negative"),
         pytest.param("trajectory", {**TRAJ, "hbar": math.nan}, [], None, 2,
                      id="trajectory-hbar-nan-in-file"),
+        pytest.param("trajectory", {**TRAJ, "steps": cli_mod.MAX_STEPS + 1},
+                     [], None, 1, id="trajectory-steps-above-limit"),
+        pytest.param("geometry", {"k": 1.0, "n": cli_mod.MAX_POINTS + 1}, [],
+                     None, 1, id="geometry-n-above-limit"),
         pytest.param("trajectory", TRAJ, ["--hbar", "nan"], None, 1,
                      id="trajectory-hbar-nan-flag"),
         pytest.param("ladder", {"eigenvalues": [1.0, "abc", 7.0],
@@ -360,6 +383,15 @@ class TestBadInput:
         assert "Traceback" not in output and "Warning" not in output
         assert any(line.lower().startswith("error:")
                    for line in proc.stderr.splitlines()), output
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("key,limit", [("steps", cli_mod.MAX_STEPS),
+                                           ("n", cli_mod.MAX_POINTS)])
+    def test_limit_accepted_and_one_past_rejected(self, key, limit):
+        assert cli_mod._count({key: limit}, key, 1, 0, limit) == limit
+        with pytest.raises(zvortex.DomainError, match=f"at most {limit}"):
+            cli_mod._count({key: limit + 1}, key, 1, 0, limit)
 
 
 class TestFlags:

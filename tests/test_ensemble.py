@@ -1,5 +1,8 @@
+import hashlib
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,27 +242,50 @@ class TestOracle:
         assert long_digest.report.bit_sequence_digest == long_digest.bit_stream
 
     def test_merge_breaks_ties_by_arrival(self):
-        for case, (t0, t1, is_zero, expected) in enumerate(tie_cases()):
-            assert _merge_bits(t0, t1, is_zero).tobytes().decode() == expected, case
+        for case, (t0, t1, arrival1, expected) in enumerate(tie_cases()):
+            assert _merge_bits(t0, t1, arrival1).tobytes().decode() == expected, case
 
     @pytest.mark.parametrize("window,split", [(1, 1), (2, 3), (5, 8)])
     def test_merge_ties_straddle_windows(self, monkeypatch, window, split):
         monkeypatch.setattr(ensemble, "_WINDOW", window)
-        monkeypatch.setattr(ensemble, "_SPLIT", split)
         straddling = 0
-        for case, (t0, t1, is_zero, expected) in enumerate(tie_cases()):
-            assert _merge_bits(t0, t1, is_zero).tobytes().decode() == expected, case
+        for case, (t0, t1, arrival1, expected) in enumerate(tie_cases()):
+            assert _merge_bits(t0, t1, arrival1).tobytes().decode() == expected, case
             # The first 1-bit of a window and the last of the one before
             # are tied with the same 0-bits.
             first = np.arange(window, t1.size, window)
             straddling += np.count_nonzero(
                 (t1[first] == t1[first - 1]) & np.isin(t1[first], t0))
         assert straddling > 100
+        # The same windows inside flushes of `split` arrivals.
+        for case, (pop, expected) in enumerate(tie_populations()):
+            assert stream_population(*pop, split)[0] == expected, case
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16])
+    def test_ties_straddle_flushes(self, chunk):
+        # Integer emission times tie often; a tie whose vortices arrive in
+        # different chunks must still be merged in one flush.
+        straddling = 0
+        for case, (pop, expected) in enumerate(tie_populations()):
+            bits, stream = stream_population(*pop, chunk)
+            assert bits == expected, case
+            arrivals, is_zero, life0, life1, horizon = pop
+            assert stream.written == len(expected)
+            assert stream.produced == [np.count_nonzero(is_zero),
+                                       np.count_nonzero(~is_zero)]
+            assert stream.head.decode() == expected[:64]
+            emission = np.where(is_zero, arrivals + life0, arrivals + life1)
+            for t in np.intersect1d(emission[is_zero], emission[~is_zero]):
+                if t <= horizon:
+                    at = np.flatnonzero(emission == t) // chunk
+                    straddling += at.min() != at.max()
+        assert straddling > 100
 
 
-def tie_cases():
-    """500 merges of integer-valued times, where cross-branch ties are
-    common, each with its expected bits: the stable argsort of the emission
+def tie_populations():
+    """500 populations with integer-valued times, where cross-branch ties
+    are common, each as ``((arrivals, is_zero, life0, life1, horizon),
+    expected)``: the expected bits are the stable argsort of the emission
     times in arrival order."""
     rng = np.random.default_rng(2024)
     for _ in range(500):
@@ -273,13 +299,33 @@ def tie_cases():
         order = np.argsort(emission[emitted], kind="stable")
         expected = "".join("01"[b] for b in
                            np.where(is_zero[emitted], 0, 1)[order])
+        yield (arrivals, is_zero, life0, life1, horizon), expected
+
+
+def tie_cases():
+    """The merges of tie_populations: the emitted 0- and 1-vortices'
+    times, the 1-vortices' arrival indices and the expected bits."""
+    for (arrivals, is_zero, life0, life1, horizon), expected in tie_populations():
+        emitted = np.where(is_zero, arrivals + life0, arrivals + life1) <= horizon
         t0 = arrivals[is_zero & emitted] + life0
         t1 = arrivals[~is_zero & emitted] + life1
-        yield t0, t1, is_zero, expected
+        yield t0, t1, np.flatnonzero(~is_zero)[:t1.size], expected
+
+
+def stream_population(arrivals, is_zero, life0, life1, horizon, chunk):
+    """The bits of a population fed to the engine's stream ``chunk``
+    arrivals at a time, and the stream."""
+    out = io.BytesIO()
+    stream = ensemble._BitStream(life0, life1, horizon, out, 64)
+    n = arrivals.size
+    for lo in range(0, max(n, 1), chunk):
+        hi = min(lo + chunk, n)
+        stream.add(arrivals[lo:hi], is_zero[lo:hi], final=hi == n)
+    return out.getvalue().decode(), stream
 
 
 class TestEngineEdges:
-    """The buffer, sub-chunk and window edges of simulate, held to the
+    """The batch, chunk, flush and window edges of simulate, held to the
     argsort engine."""
 
     def test_exponential_fill_matches_exponential(self):
@@ -298,23 +344,27 @@ class TestEngineEdges:
 
     @pytest.mark.parametrize("kw", ORACLE_CONFIGS)
     def test_small_blocks(self, monkeypatch, kw):
-        # Sub-chunks of 7 arrivals, windows of 5 1-bits and no spare room
-        # in the arrival buffer, so it grows.
-        monkeypatch.setattr(ensemble, "_SPLIT", 7)
+        # Chunks of 7 arrivals, so a flush every 7 arrivals, and windows of
+        # 5 1-bits.
+        monkeypatch.setattr(ensemble, "_CHUNK", 7)
         monkeypatch.setattr(ensemble, "_WINDOW", 5)
-        monkeypatch.setattr(ensemble, "_SPARE_BATCHES", 0)
         assert_matches_oracle(make_config(**kw))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_sub_chunk_and_window_edges(self, monkeypatch, offset):
-        cfg = make_config(pair_production_rate=40.0, seed=3)
+        cfg = make_config(pair_production_rate=600.0, seed=3)
         old = oracle_simulate(cfg).report
-        # The last sub-chunk holds 1, 0 or 2 arrivals: produced is S - 1,
-        # S or S + 1; the last window holds W - 1, W or W + 1 1-bits.
-        for split in (old.produced - offset, (old.produced - offset) // 2):
-            for window in (old.emitted_one - offset,
-                           (old.emitted_one - offset) // 2):
-                monkeypatch.setattr(ensemble, "_SPLIT", split)
+        batch = int(600.0 * 20.0 * 0.1) + 64
+        # Nine whole batches, and `within` arrivals of the tenth before the
+        # horizon.
+        assert old.produced // batch == 9
+        within = old.produced % batch
+        # Chunks that end one before, at and one past a batch's end or the
+        # horizon: at the horizon, the next chunk holds no arrival.
+        for chunk in (batch - offset, batch // 2 - offset, within - offset,
+                      within // 2 - offset):
+            for window in (3 - offset, 1 << 14):
+                monkeypatch.setattr(ensemble, "_CHUNK", chunk)
                 monkeypatch.setattr(ensemble, "_WINDOW", window)
                 assert_matches_oracle(cfg)
 
@@ -327,10 +377,14 @@ class TestEngineEdges:
 
     def test_horizon_inside_first_batch(self):
         rate, horizon = 2.0, 3.0
-        new = ensemble._arrival_times(np.random.default_rng(1), rate, horizon)
+        new = np.concatenate([chunk.copy() for chunk in ensemble._arrival_times(
+            np.random.default_rng(1), rate, horizon)])
         old = _oracle_arrival_times(np.random.default_rng(1), rate, horizon)
-        assert new.tobytes() == old.tobytes()
-        assert 0 < new.size < 1024  # the first batch holds 1024 gaps
+        assert new.size == 1024  # the first batch holds 1024 gaps
+        assert new[new < horizon].tobytes() == old.tobytes()
+        assert 0 < old.size < 1024
+        assert_matches_oracle(make_config(pair_production_rate=rate,
+                                          horizon=horizon))
 
     def test_a_million_events(self):
         cfg = make_config(pair_production_rate=5e4, ratio_zero_to_one=2.0,
@@ -339,6 +393,101 @@ class TestEngineEdges:
         batch = int(cfg.pair_production_rate * cfg.horizon * 0.1) + 64
         assert old.report.produced > 9 * batch  # ten arrival batches
         assert old.report.emitted > 500_000
+
+
+# sha256 of the bit stream and of the report JSON, recorded with the
+# one-buffer engine this streaming engine replaced.
+GOLDEN = [
+    ({}, "1ba7d59547802e2f121f3f918738ab095ad74f1fbfa79a4a6b5eea7e8d23874c",
+     "da67ad345a6088915609d69d51ebe4fbc09a2a77b59a73fb16227efdf9ffd2f0"),
+    # 1-vortices outlive 0-vortices: the 1-branch waits.
+    ({"epsilon": EPS_ZERO_FIRST, "pair_production_rate": 2e4, "seed": 3},
+     "3b820e23b62a6fea8fa6c92ac768c26d9999ed0da7ad2b131b3faccfd1501ba1",
+     "1c42b447a5422aef7a6e81453028074f3cf16596557d491a80cb5ca2ef75669f"),
+    # The paper's ratio at ks = 0.35, a million events over ten batches.
+    ({"ratio_zero_to_one": 2.04, "k": 0.5, "s": 0.7, "beta": 1.3,
+      "horizon": 40.0, "pair_production_rate": 25000.0, "seed": 1001},
+     "61f3e0ea109b0465bdb5c7ee4be8a99abfca0c9b50802cf3115c5542350785bf",
+     "973007d391828b13211bebb3ff5f7a3c8a99d5db9d4eb26c0e0c27c2a5526602"),
+    ({"ratio_zero_to_one": 47.209, "pair_production_rate": 5000.0,
+      "horizon": 60.0, "seed": 5},
+     "49611b17b5efcb9eaec5198f7de84b602769e82b84216425eb72e697d46dc88d",
+     "45e235dd63c7c1dae56ebc678cee9cee81c161436c983b5fc1d734091564635c"),
+    # A digest longer than the stream of 538,360 bits.
+    ({"pair_production_rate": 2e5, "horizon": 5.0, "digest_bits": 10 ** 6,
+      "seed": 21},
+     "4187db45e3b854a68b5ccf450b4c74f9e7696f7cf2c9356fc38ca8d6d1470745",
+     "0b21a5adb63de5935735914a50f799718ee7de1e85bbffed6cb68dec89d6695a"),
+]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestStream:
+    """Bits written to a sink as they are merged: the same bytes as before,
+    in memory set by the lifetime gap."""
+
+    @pytest.mark.parametrize("kw,bits_sha,report_sha", GOLDEN)
+    def test_golden(self, kw, bits_sha, report_sha):
+        result = simulate(make_config(**kw))
+        assert sha256(result.bit_stream) == bits_sha
+        assert sha256(result.report.to_json()) == report_sha
+
+    @pytest.mark.parametrize("kw", ORACLE_CONFIGS + [GOLDEN[1][0]])
+    def test_sink_gets_the_stream(self, kw):
+        cfg = make_config(**kw)
+        sink = io.BytesIO()
+        streamed = simulate(cfg, sink)
+        kept = simulate(cfg)
+        assert sink.getvalue() == kept.bit_stream.encode()
+        assert streamed.report == kept.report
+        assert streamed.bit_stream == ""
+
+    def test_digest_spans_flushes(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "_CHUNK", 7)
+        for digest_bits in (0, 1, 5, 300, 10 ** 6):
+            result = assert_matches_oracle(make_config(digest_bits=digest_bits))
+            assert result.report.bit_sequence_digest == \
+                result.bit_stream[:digest_bits]
+
+    def test_equalization_check_discards_the_stream(self, monkeypatch):
+        sinks = []
+
+        def recording(config, sink=None):
+            sinks.append(sink)
+            return simulate(config, sink)
+
+        monkeypatch.setattr(ensemble, "simulate", recording)
+        cfg = make_config()
+        assert equalization_check(cfg).report == simulate(cfg).report
+        assert len(sinks) == 1 and sinks[0] is not None
+
+    def test_peak_memory_set_by_the_lifetime_gap(self, tmp_path):
+        # At a fixed L0 - L1, 1e6 and then 2e6 events: the pending 0-bits
+        # are the same in number, about rate * p_0 * (L0 - L1), once the
+        # horizon passes L0 + (L0 - L1), about 8.2.
+        def peak(horizon):
+            cfg = make_config(pair_production_rate=1e5, horizon=horizon,
+                              seed=4)
+            with open(tmp_path / "bits", "wb") as sink:
+                tracemalloc.start()
+                try:
+                    simulate(cfg, sink)
+                    return tracemalloc.get_traced_memory()[1], cfg
+                finally:
+                    tracemalloc.stop()
+
+        short, _ = peak(10.0)
+        long, cfg = peak(20.0)
+        assert long <= 1.1 * short
+        lag = cfg.pair_production_rate * cfg.prob_zero * (
+            cfg.zero_lifetime - cfg.one_lifetime)
+        # 16 bytes per pending entry, and eight chunk-sized float arrays.
+        assert long < 16 * lag + 8 * 8 * ensemble._CHUNK
+        # The whole population would take 14 bytes per event.
+        assert long < 0.3 * 14 * cfg.pair_production_rate * cfg.horizon
 
 
 class TestSteadyState:
