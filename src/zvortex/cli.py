@@ -8,11 +8,12 @@ byte-identical output.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import click
 import numpy as np
@@ -28,8 +29,8 @@ from .wavecore import CParam, DomainError
 TOLERANCE_ENV = "ZVORTEX_TOLERANCE"
 # The most trajectory steps and geometry points a command accepts: either
 # output is then at most about 150 MB (a trajectory writes 100-150 bytes a
-# step, the geometry 450-650 bytes a point), built in memory before it is
-# written.
+# step, the geometry 450-650 bytes a point). Memory holds the columns; the
+# text is written block by block as it is formatted.
 MAX_STEPS = 10 ** 6
 MAX_POINTS = 2 * 10 ** 5
 
@@ -51,25 +52,31 @@ def _load_params(path: str | None) -> dict:
     return data
 
 
-def _emit(path: str | None, *parts: str) -> None:
-    """Write the parts to the file at ``path``, or to stdout."""
-    if not path:
-        sys.stdout.writelines(parts)
-        return
-    with open(path, "w") as fh:
-        fh.writelines(parts)
+def _open_output(path: str, mode: str):
+    """``open(path, mode)``, with an unopenable path as a usage error."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise click.UsageError(f"cannot open output file: {exc}")
 
 
-def _json_with_rows(doc: dict, key: str, blocks: Iterable[str]) -> list[str]:
-    """The parts of ``json.dumps({**doc, key: rows}, sort_keys=True)`` and a
-    newline, where ``blocks`` hold the rows as JSON objects already
+def _emit(path: str | None, *parts: Iterable[str]) -> None:
+    """Write the strings of each iterable in turn, as they are produced, to
+    the file at ``path``, or to stdout."""
+    with (_open_output(path, "w") if path else contextlib.nullcontext(sys.stdout)) as fh:
+        for part in parts:
+            fh.writelines(part)
+
+
+def _json_with_rows(doc: dict, key: str, blocks: Iterable[str]) -> Iterator[str]:
+    """Yield the parts of ``json.dumps({**doc, key: rows}, sort_keys=True)``
+    and a newline, where ``blocks`` hold the rows as JSON objects already
     encoded and joined by ", "."""
     head, tail = json.dumps({**doc, key: []}, sort_keys=True).split(f'"{key}": []')
-    parts = [head, f'"{key}": [']
+    yield head + f'"{key}": ['
     for i, block in enumerate(blocks):
-        parts += [", ", block] if i else [block]
-    parts.append("]" + tail + "\n")
-    return parts
+        yield from (", ", block) if i else (block,)
+    yield "]" + tail + "\n"
 
 
 def _finite(value) -> bool:
@@ -254,13 +261,13 @@ def cmd_verify(params_path, out_path, fmt, hbar, mass):
     checks = _verify_checks(params, _physical(params, hbar, mass))
     all_pass = all(c["pass"] for c in checks)
     if fmt == "json":
-        _emit(out_path, json.dumps({"checks": checks, "all_pass": all_pass},
-                                   sort_keys=True), "\n")
+        _emit(out_path, [json.dumps({"checks": checks, "all_pass": all_pass},
+                                    sort_keys=True), "\n"])
     else:
-        _emit(out_path, "check,max_residual,tolerance,pass\n",
-              *(f"{c['name']},{_fmt(c['max_residual'])},"
-                f"{_fmt(c['tolerance'])},{str(c['pass']).lower()}\n"
-                for c in checks))
+        _emit(out_path, ["check,max_residual,tolerance,pass\n"],
+              (f"{c['name']},{_fmt(c['max_residual'])},"
+               f"{_fmt(c['tolerance'])},{str(c['pass']).lower()}\n"
+               for c in checks))
     if not all_pass:
         raise SystemExit(1)
 
@@ -298,14 +305,14 @@ def cmd_trajectory(params_path, out_path, fmt, hbar, mass):
               "branch": sol.branch.value, "k": sol.k, "s": sol.s,
               "beta": sol.beta}
     if fmt == "json":
-        _emit(out_path, *_json_with_rows(footer, "points", format_rows(
+        _emit(out_path, _json_with_rows(footer, "points", format_rows(
             '{"gradient_radius": %r, "radius": %r, "t": %r, "u": %r, "v": %r}',
             [traj.gradient_radius, traj.radius, traj.t, traj.u, traj.v], ", ")))
     else:
-        _emit(out_path, "t,u,v,radius,gradient_radius\n",
-              *format_rows("%.17g,%.17g,%.17g,%.17g,%.17g\n",
-                           [traj.t, traj.u, traj.v, traj.radius, traj.gradient_radius]),
-              "# " + json.dumps(footer, sort_keys=True) + "\n")
+        _emit(out_path, ["t,u,v,radius,gradient_radius\n"],
+              format_rows("%.17g,%.17g,%.17g,%.17g,%.17g\n",
+                          [traj.t, traj.u, traj.v, traj.radius, traj.gradient_radius]),
+              ["# " + json.dumps(footer, sort_keys=True) + "\n"])
 
 
 # ---------------------------------------------------------------- ladder
@@ -320,12 +327,12 @@ def cmd_ladder(params_path, out_path, fmt, hbar, mass):
     ladder = energy_mod.EnergyLadder(tuple(_numbers(params, "eigenvalues")))
     trace = energy_mod.k_jump_trace(ladder, _numbers(params, "schedule"), phys)
     if fmt == "json":
-        _emit(out_path, json.dumps({"trace": [
+        _emit(out_path, [json.dumps({"trace": [
             {"step": r.step, "E": r.E, "j": r.j, "k": r.k} for r in trace
-        ]}, sort_keys=True), "\n")
+        ]}, sort_keys=True), "\n"])
     else:
-        _emit(out_path, "step,E,j,k\n",
-              *(f"{r.step},{_fmt(r.E)},{r.j},{_fmt(r.k)}\n" for r in trace))
+        _emit(out_path, ["step,E,j,k\n"],
+              (f"{r.step},{_fmt(r.E)},{r.j},{_fmt(r.k)}\n" for r in trace))
 
 
 # -------------------------------------------------------------- ensemble
@@ -349,18 +356,17 @@ def cmd_ensemble(params_path, out_path, fmt, seed, bits_out):
         raise click.UsageError(f"bad ensemble config: {exc}")
     # The bits are written as they are merged; without --bits-out they are
     # discarded.
-    with open(bits_out or os.devnull, "wb") as bits:
+    with _open_output(bits_out or os.devnull, "wb") as bits:
         result = ensemble_mod.simulate(config, bits)
         bits.write(b"\n")
     if fmt == "json":
-        _emit(out_path, result.report.to_json(), "\n")
+        _emit(out_path, [result.report.to_json(), "\n"])
     else:
         report = result.report.to_dict()
         keys = sorted(report)
         values = (report[k] for k in keys)
-        _emit(out_path, ",".join(keys), "\n",
-              ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values),
-              "\n")
+        _emit(out_path, [",".join(keys), "\n", ",".join(
+            _fmt(v) if isinstance(v, float) else str(v) for v in values), "\n"])
 
 
 # -------------------------------------------------------------- geometry
@@ -399,13 +405,13 @@ def cmd_geometry(params_path, out_path, fmt):
         ("squared", one_z, vx.squared_map(one, k, one_z)),
     ]
     if fmt == "json":
-        _emit(out_path, *_json_with_rows({}, "points", (
+        _emit(out_path, _json_with_rows({}, "points", (
             row for kind, z, (px, py, pz) in sections
             for row in format_rows(
                 f'{{"kind": "{kind}", "px": %r, "py": %r, "pz": %r, "z": %r}}',
                 [px, py, pz, z], ", "))))
     else:
-        _emit(out_path, "kind,z,px,py,pz\n", *(
+        _emit(out_path, ["kind,z,px,py,pz\n"], (
             row for kind, z, (px, py, pz) in sections
             for row in format_rows(f"{kind},%.17g,%.17g,%.17g,%.17g\n",
                                    [z, px, py, pz])))

@@ -10,7 +10,6 @@ sqrt(m / 6 hbar^2) (sqrt(E_j) - sqrt(E_{j-1})) at each level transition.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -42,21 +41,6 @@ class EnergyLadder:
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnergyLadder":
-        data = json.loads(text)
-        return cls(eigenvalues=tuple(data["eigenvalues"]))
-
-
-@dataclass(frozen=True)
-class LevelSelection:
-    """Level picked by an energy E: index, eigenvalue, potential, frequency."""
-
-    j: int
-    E_j: float
-    U_of_E: float
-    omega: float
 
 
 def unit_step(x: float) -> float:
@@ -90,14 +74,6 @@ def _level_potential(ladder: EnergyLadder, j: int) -> float:
 def potential_of_energy(ladder: EnergyLadder, E: float) -> float:
     """Step potential U(E) = (5/12) E_j for the level j reached by E."""
     return _level_potential(ladder, level_index(ladder, E))
-
-
-def select_level(ladder: EnergyLadder, E: float,
-                 params: PhysicalParams) -> LevelSelection:
-    j = level_index(ladder, E)
-    e_j = ladder.eigenvalues[j]
-    return LevelSelection(j=j, E_j=e_j, U_of_E=_level_potential(ladder, j),
-                          omega=e_j / params.hbar)
 
 
 def quantized_k(ladder: EnergyLadder, E: float, params: PhysicalParams) -> float:

@@ -30,7 +30,7 @@ import math
 import numbers
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -104,11 +104,6 @@ class EnsembleConfig:
             Branch.ZERO_VORTEX, k=self.k, s=self.s, beta=self.beta),
             self.epsilon)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EnsembleConfig":
-        data = json.loads(text)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class EnsembleReport:
@@ -130,16 +125,7 @@ class EnsembleReport:
         return self.emitted_zero + self.emitted_one
 
     def to_dict(self) -> dict:
-        return {
-            "produced_zero": self.produced_zero,
-            "produced_one": self.produced_one,
-            "emitted_zero": self.emitted_zero,
-            "emitted_one": self.emitted_one,
-            "live_zero": self.live_zero,
-            "live_one": self.live_one,
-            "bit_sequence_digest": self.bit_sequence_digest,
-            "empirical_ratio": self.empirical_ratio,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -365,10 +351,22 @@ def simulate(config: EnsembleConfig, sink=None) -> SimulationResult:
                             bit_stream=out.getvalue().decode("ascii"))
 
 
+def _branch_rates(config: EnsembleConfig) -> tuple[float, float]:
+    """Production rates of 0- and 1-vortices."""
+    rate = config.pair_production_rate
+    return rate * config.prob_zero, rate * (1.0 - config.prob_zero)
+
+
+def _emission_windows(config: EnsembleConfig) -> tuple[float, float]:
+    """Per branch, the span of birth times whose bits are emitted by the
+    horizon: max(horizon - lifetime_b, 0)."""
+    return (max(config.horizon - config.zero_lifetime, 0.0),
+            max(config.horizon - config.one_lifetime, 0.0))
+
+
 def steady_state_counts(config: EnsembleConfig) -> tuple[float, float]:
     """Expected live populations: per-branch production rate x lifetime."""
-    rate_zero = config.pair_production_rate * config.prob_zero
-    rate_one = config.pair_production_rate * (1.0 - config.prob_zero)
+    rate_zero, rate_one = _branch_rates(config)
     return rate_zero * config.zero_lifetime, rate_one * config.one_lifetime
 
 
@@ -380,12 +378,9 @@ def expected_emissions(config: EnsembleConfig) -> tuple[float, float]:
     still live; that truncation is what biases the raw emitted-bit ratio
     away from the production ratio on short horizons.
     """
-    rate_zero = config.pair_production_rate * config.prob_zero
-    rate_one = config.pair_production_rate * (1.0 - config.prob_zero)
-    return (
-        rate_zero * max(config.horizon - config.zero_lifetime, 0.0),
-        rate_one * max(config.horizon - config.one_lifetime, 0.0),
-    )
+    rate_zero, rate_one = _branch_rates(config)
+    window_zero, window_one = _emission_windows(config)
+    return rate_zero * window_zero, rate_one * window_one
 
 
 @dataclass(frozen=True)
@@ -409,16 +404,7 @@ class EqualizationReport:
     report: EnsembleReport
 
     def to_dict(self) -> dict:
-        return {
-            "production_ratio": self.production_ratio,
-            "emitted_ratio": self.emitted_ratio,
-            "emission_rate_ratio": self.emission_rate_ratio,
-            "live_ratio": self.live_ratio,
-            "expected_live_ratio": self.expected_live_ratio,
-            "within_three_sigma": self.within_three_sigma,
-            "stationarity_warning": self.stationarity_warning,
-            "report": self.report.to_dict(),
-        }
+        return asdict(self)
 
 
 def equalization_check(config: EnsembleConfig) -> EqualizationReport:
@@ -438,8 +424,7 @@ def equalization_check(config: EnsembleConfig) -> EqualizationReport:
             within = within and abs(count - mu) <= 3.0 * math.sqrt(mu)
         else:
             within = within and count == 0
-    window_zero = max(config.horizon - config.zero_lifetime, 0.0)
-    window_one = max(config.horizon - config.one_lifetime, 0.0)
+    window_zero, window_one = _emission_windows(config)
     if window_zero > 0.0 and window_one > 0.0 and rep.emitted_one:
         rate_ratio = (rep.emitted_zero / window_zero) / (
             rep.emitted_one / window_one)

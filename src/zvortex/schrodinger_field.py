@@ -22,7 +22,6 @@ residuals as numpy arrays.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
@@ -166,9 +165,6 @@ class Potential:
         return self.value_fixed
 
 
-FREE = Potential.fixed(0.0)
-
-
 def psi_partials(field: ZField, c: CParam, point: Point
                  ) -> tuple[complex, complex, complex, complex, complex]:
     """Chain-rule partials of psi = z**c at a point.
@@ -242,8 +238,8 @@ class GridReport:
 
     ``axes`` holds the r_x, r_y and t values of the lattice as float
     arrays. ``residual_real`` and ``residual_imag`` are float arrays with
-    one entry per lattice point, r_x-major and t-minor. ``points`` and
-    ``grid_spec`` are derived from the axes.
+    one entry per lattice point, r_x-major and t-minor. ``points`` is
+    derived from the axes.
     """
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -257,31 +253,12 @@ class GridReport:
                         axis=1)
 
     @property
-    def grid_spec(self) -> dict:
-        """[min, max, count] of each axis; min and max are None for an
-        empty axis."""
-        spec = {}
-        for name, axis in zip(("r_x", "r_y", "t"), self.axes):
-            values = axis.tolist()
-            spec[name] = [min(values, default=None), max(values, default=None),
-                          len(values)]
-        return spec
-
-    @property
     def max_abs_real(self) -> float:
         return float(np.max(np.abs(self.residual_real), initial=0.0))
 
     @property
     def max_abs_imag(self) -> float:
         return float(np.max(np.abs(self.residual_imag), initial=0.0))
-
-    @property
-    def mean_abs_real(self) -> float:
-        return float(np.mean(np.abs(self.residual_real))) if self.residual_real.size else 0.0
-
-    @property
-    def mean_abs_imag(self) -> float:
-        return float(np.mean(np.abs(self.residual_imag))) if self.residual_imag.size else 0.0
 
     def write_csv(self, out: TextIO) -> None:
         out.write("r_x,r_y,t,residual_real,residual_imag\n")
@@ -291,19 +268,6 @@ class GridReport:
         columns = [c.ravel() for c in np.meshgrid(*labels, indexing="ij")]
         out.writelines(format_rows("%s,%s,%s,%.17g,%.17g\n",
                                    [*columns, self.residual_real, self.residual_imag]))
-
-    def summary(self) -> dict:
-        return {
-            "grid": self.grid_spec,
-            "n_points": self.residual_real.size,
-            "max_abs_real": self.max_abs_real,
-            "max_abs_imag": self.max_abs_imag,
-            "mean_abs_real": self.mean_abs_real,
-            "mean_abs_imag": self.mean_abs_imag,
-        }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True)
 
 
 def evaluate_grid(field_: ZField, c: CParam, params: PhysicalParams,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -106,15 +106,6 @@ class VortexSolution:
         sk = self.branch.sign * self.k
         return exponential_field(sk, sk, -3.0 * self.k ** 2 * self.beta)
 
-    def descriptor(self) -> dict:
-        return {
-            "branch": self.branch.value,
-            "k": self.k,
-            "s": self.s,
-            "beta": self.beta,
-            "collapse_time": collapse_time(self),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -161,14 +152,11 @@ def _mapped(f, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, x.tolist()), float, x.size)
 
 
-def trajectory(sol: VortexSolution, s: float | None = None,
-               t_grid: Sequence[float] = ()) -> Trajectory:
+def trajectory(sol: VortexSolution, t_grid: Sequence[float] = ()) -> Trajectory:
     """Sample the (u, v)-plane motion of the vortex at the given times.
 
     A radius or gradient radius beyond the float range is a DomainError.
     """
-    if s is not None and s != sol.s:
-        sol = replace(sol, s=s)
     t = np.array(t_grid, dtype=float)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -187,10 +175,8 @@ def trajectory(sol: VortexSolution, s: float | None = None,
                       gradient_radius=gradient_radius)
 
 
-def collapse_time(sol: VortexSolution, s: float | None = None) -> float:
+def collapse_time(sol: VortexSolution) -> float:
     """Time at which z reaches 1 (1-vortex), or +inf for a 0-vortex."""
-    if s is not None and s != sol.s:
-        sol = replace(sol, s=s)
     if sol.branch is Branch.ZERO_VORTEX:
         return math.inf
     return sol.s / (3.0 * sol.k * sol.beta)
@@ -217,18 +203,14 @@ def zero_vortex_lifetime(sol: VortexSolution, epsilon: float) -> float:
     return t0
 
 
-def normalization_constant(sol: VortexSolution, s: float | None = None,
-                           params: PhysicalParams | None = None) -> float:
+def normalization_constant(sol: VortexSolution) -> float:
     """Constant A making A^2 * integral of |psi|^2 dt equal 1.
 
     A0 = e^{ks} k sqrt(6 beta) over [0, inf); A1 = k sqrt(6 beta)
     (e^{2ks} - 1)^{-1/2} over [0, t*].
     """
-    if s is not None and s != sol.s:
-        sol = replace(sol, s=s)
-    beta = params.beta if params is not None else sol.beta
     ks = sol.k * sol.s
-    root = sol.k * math.sqrt(6.0 * beta)
+    root = sol.k * math.sqrt(6.0 * sol.beta)
     try:
         if sol.branch is Branch.ZERO_VORTEX:
             return math.exp(ks) * root

@@ -37,9 +37,6 @@ class CParam:
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
 
-    def conjugate(self) -> "CParam":
-        return CParam(self.x, -self.y)
-
     def modulus_sq(self) -> float:
         return self.x * self.x + self.y * self.y
 
@@ -61,19 +58,10 @@ class WaveValue:
     def magnitude(self) -> float:
         return math.hypot(self.u, self.v)
 
-    def phase(self) -> float:
-        return math.atan2(self.v, self.u)
-
 
 class NormalizabilityKind(Enum):
     HALF_LINE_CONVERGENT = "half_line_convergent"
     RESTRICTED = "restricted"
-
-
-@dataclass(frozen=True)
-class NormalizabilityDomain:
-    kind: NormalizabilityKind
-    domain_bounds: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -135,6 +123,14 @@ def partials_uv(z: float, c: CParam) -> tuple[float, float, float, float]:
     return du_dx, du_dx, -dv_dx, dv_dx
 
 
+def _shifted(z, c: CParam, h: float) -> tuple:
+    """psi at c + h, c - h, c + ih and c - ih, the stencils' outer points."""
+    if not 0.0 < h < 0.1:
+        raise DomainError(f"step size must lie in (0, 0.1), got {h}")
+    return (eval_psi(z, CParam(c.x + h, c.y)), eval_psi(z, CParam(c.x - h, c.y)),
+            eval_psi(z, CParam(c.x, c.y + h)), eval_psi(z, CParam(c.x, c.y - h)))
+
+
 def check_cauchy_riemann(z, c: CParam, h: float = STEP_FIRST) -> tuple:
     """Finite-difference Cauchy-Riemann residuals (|u_x - v_y|, |u_y + v_x|).
 
@@ -142,13 +138,7 @@ def check_cauchy_riemann(z, c: CParam, h: float = STEP_FIRST) -> tuple:
     residuals are pure discretization error, O(h**2). Elementwise over
     array z, c.x and c.y.
     """
-    _require_positive(z)
-    if not 0.0 < h < 0.1:
-        raise DomainError(f"step size must lie in (0, 0.1), got {h}")
-    px = eval_psi(z, CParam(c.x + h, c.y))
-    mx = eval_psi(z, CParam(c.x - h, c.y))
-    py = eval_psi(z, CParam(c.x, c.y + h))
-    my = eval_psi(z, CParam(c.x, c.y - h))
+    px, mx, py, my = _shifted(z, c, h)
     du_dx = (px.u - mx.u) / (2.0 * h)
     dv_dx = (px.v - mx.v) / (2.0 * h)
     du_dy = (py.u - my.u) / (2.0 * h)
@@ -171,14 +161,10 @@ def laplace_residual(z0, c0: CParam, h: float = STEP_SECOND) -> tuple:
 
     Both components of an analytic function are harmonic, so the residuals
     vanish up to discretization error. Elementwise over array z0, c0.x and
-    c0.y.
+    c0.y. The step h must lie in (0, 0.1), as for check_cauchy_riemann.
     """
-    _require_positive(z0)
+    px, mx, py, my = _shifted(z0, c0, h)
     center = eval_psi(z0, c0)
-    px = eval_psi(z0, CParam(c0.x + h, c0.y))
-    mx = eval_psi(z0, CParam(c0.x - h, c0.y))
-    py = eval_psi(z0, CParam(c0.x, c0.y + h))
-    my = eval_psi(z0, CParam(c0.x, c0.y - h))
     inv_h2 = 1.0 / (h * h)
     lap_u = (px.u + mx.u + py.u + my.u - 4.0 * center.u) * inv_h2
     lap_v = (px.v + mx.v + py.v + my.v - 4.0 * center.v) * inv_h2
@@ -227,7 +213,7 @@ def cauchy_formula(
     return WaveValue.from_complex(complex(total) / (2j * math.pi))
 
 
-def normalizability(z: float, x: float) -> NormalizabilityDomain:
+def normalizability(z: float, x: float) -> NormalizabilityKind:
     """Classify convergence of the squared-magnitude integral over x.
 
     The integral of exp(2 x ln z) converges on a half-line when
@@ -237,5 +223,5 @@ def normalizability(z: float, x: float) -> NormalizabilityDomain:
     """
     _require_positive(z)
     if z != 1.0 and ((z < 1.0 and x > 0.0) or (z > 1.0 and x < 0.0)):
-        return NormalizabilityDomain(NormalizabilityKind.HALF_LINE_CONVERGENT)
-    return NormalizabilityDomain(NormalizabilityKind.RESTRICTED)
+        return NormalizabilityKind.HALF_LINE_CONVERGENT
+    return NormalizabilityKind.RESTRICTED

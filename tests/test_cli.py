@@ -7,6 +7,8 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zvortex
 from zvortex import cli as cli_mod
@@ -351,6 +353,10 @@ class TestBadInput:
                      id="verify-tolerance-env-text"),
         pytest.param("verify", {}, ["--hbar", "-1"], None, 1,
                      id="verify-hbar-negative-flag"),
+        pytest.param("verify", {"h_second": -279448}, [], None, 1,
+                     id="verify-h_second-negative"),
+        pytest.param("verify", {"h_second": 0}, [], None, 1,
+                     id="verify-h_second-zero"),
         pytest.param("geometry", {"k": "abc", "n": 5}, [], None, 2,
                      id="geometry-k-text"),
         pytest.param("geometry", {"k": math.nan, "n": 5}, [], None, 2,
@@ -374,6 +380,12 @@ class TestBadInput:
         pytest.param("ensemble", {**ENSEMBLE, "pair_production_rate": 1e200,
                                   "horizon": 1e200}, [], None, 1,
                      id="ensemble-expected-events-overflow"),
+        # A path under a file cannot be opened.
+        pytest.param("trajectory", TRAJ, ["--out", os.path.join(os.devnull, "t.csv")],
+                     None, 2, id="trajectory-out-unopenable"),
+        pytest.param("ensemble", ENSEMBLE,
+                     ["--bits-out", os.path.join(os.devnull, "b.txt")], None, 2,
+                     id="ensemble-bits-out-unopenable"),
     ])
     def test_fresh_interpreter(self, tmp_path, command, params, args, env, code):
         path = write_params(tmp_path, params)
@@ -411,3 +423,94 @@ class TestFlags:
         result = runner.invoke(cli, [command, flag, value])
         assert result.exit_code == 2
         assert "No such option" in result.output and flag in result.output
+
+
+# ------------------------------------------------------- params-file fuzz
+
+# Values a params file may hold where a number, list or object is expected.
+# Where a count or a list feeds the work, the good values are small, so an
+# example does at most about 1e4 units (steps, points, events).
+BAD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 0, -1, -2.5]),
+    st.floats(-1e3, -1e-3), st.integers(-10 ** 30, -1),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+_unit = st.floats(0.5, 2.0)
+_small_lists = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=1, max_size=3)
+GOOD_VALUES = {
+    "verify": {
+        "hbar": _unit, "mass": _unit, "u_f": st.floats(0.1, 5.0),
+        "grid": st.fixed_dictionaries({}, optional={
+            "z": _small_lists(0.5, 2.0), "x": _small_lists(-2.0, 2.0),
+            "y": _small_lists(-2.0, 2.0)}),
+        "h_first": st.floats(1e-6, 1e-3), "h_second": st.floats(1e-5, 1e-2),
+        "perturb": st.floats(-1.0, 1.0), "cr_tolerance": st.floats(1e-12, 1.0),
+        "laplace_tolerance": st.floats(1e-12, 1.0),
+        "residual_tolerance": st.floats(1e-12, 1.0),
+    },
+    "trajectory": {
+        "hbar": _unit, "mass": _unit,
+        "branch": st.sampled_from(["one_vortex", "zero_vortex"]),
+        "k": st.floats(0.01, 3.0), "u_f": st.floats(0.01, 5.0),
+        "s": st.floats(-3.0, 3.0), "t_max": st.floats(0.0, 1.0),
+        "steps": st.integers(0, 200),
+    },
+    "ladder": {
+        "hbar": _unit, "mass": _unit,
+        "eigenvalues": st.lists(st.floats(0.1, 50.0), min_size=1, max_size=5),
+        "schedule": st.lists(st.floats(0.0, 60.0), max_size=5),
+    },
+    "ensemble": {
+        "pair_production_rate": st.floats(0.1, 100.0),
+        "ratio_zero_to_one": st.floats(0.0, 5.0), "k": st.floats(0.1, 3.0),
+        "s": st.floats(0.1, 3.0), "beta": st.floats(0.1, 3.0),
+        "horizon": st.floats(0.1, 100.0), "epsilon": st.floats(1e-9, 0.5),
+        "seed": st.integers(0, 100), "digest_bits": st.integers(0, 100),
+    },
+    "geometry": {
+        "k": st.floats(0.1, 3.0), "n": st.integers(2, 500),
+        "z_max": st.floats(0.5, 10.0), "z_min": st.floats(0.01, 1.0),
+    },
+}
+
+
+_MISSING = object()
+
+
+@st.composite
+def command_and_params(draw):
+    """A command and a params file for it: every key of the command with a
+    good value, then up to three keys (an unknown one among them) set to a
+    bad value or dropped. One file in ten is not an object at all."""
+    command = draw(st.sampled_from(sorted(GOOD_VALUES)))
+    good = GOOD_VALUES[command]
+    params = {key: draw(value) for key, value in good.items()}
+    for key in draw(st.lists(st.sampled_from([*good, "unknown_key"]),
+                             max_size=3, unique=True)):
+        value = draw(st.one_of(st.just(_MISSING), BAD_VALUES))
+        if value is _MISSING:
+            params.pop(key, None)
+        else:
+            params[key] = value
+    if draw(st.integers(0, 9)) == 0:
+        params = draw(BAD_VALUES)
+    return command, params
+
+
+class TestParamsFuzz:
+    """Whatever a params file holds, each command ends with exit 0, 1 or 2
+    and raises nothing but SystemExit."""
+
+    @given(case=command_and_params(), fmt=st.sampled_from(["csv", "json"]))
+    @settings(max_examples=400, deadline=None)
+    def test_exit_code_and_no_exception(self, tmp_path_factory, case, fmt):
+        command, params = case
+        path = tmp_path_factory.getbasetemp() / "fuzz-params.json"
+        path.write_text(json.dumps(params))
+        result = CliRunner().invoke(cli, [command, "--params", str(path),
+                                          "--format", fmt])
+        assert result.exit_code in (0, 1, 2), (params, result.output)
+        assert result.exception is None or isinstance(
+            result.exception, SystemExit), (params, result.exception)

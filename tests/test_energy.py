@@ -18,7 +18,6 @@ from zvortex import (
     potential_of_energy,
     quantized_k,
     quantized_solution,
-    select_level,
     unit_step,
 )
 
@@ -43,10 +42,6 @@ class TestLadderType:
             EnergyLadder((3.0, 1.0))
         with pytest.raises(DomainError):
             EnergyLadder(())
-
-    def test_from_json(self):
-        lad = EnergyLadder.from_json('{"eigenvalues": [1, 3, 7]}')
-        assert lad.eigenvalues == (1.0, 3.0, 7.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -166,11 +161,6 @@ class TestQuantizedSolution:
         # E_0 < 0 gives U(E) < 0, for which k has no real value.
         with pytest.raises(DomainError, match="non-negative"):
             quantized_k(EnergyLadder((-2.0, 1.0)), -1.0, NAT)
-
-    def test_omega_relation(self):
-        sel = select_level(EnergyLadder((1.0, 3.0, 7.0)), 5.0, NAT)
-        assert sel.omega * NAT.hbar == pytest.approx(sel.E_j, rel=1e-15)
-        assert sel.U_of_E == pytest.approx(5.0 / 12.0 * sel.E_j, rel=1e-15)
 
 
 class TestDeltaK:

@@ -137,16 +137,6 @@ class TestConfig:
         assert make_config(ratio_zero_to_one=3.0).prob_zero == pytest.approx(0.75)
         assert make_config(ratio_zero_to_one=0.0).prob_zero == 0.0
 
-    def test_json_round_trip(self):
-        cfg = make_config(seed=99)
-        text = json.dumps({
-            "pair_production_rate": cfg.pair_production_rate,
-            "ratio_zero_to_one": cfg.ratio_zero_to_one,
-            "k": cfg.k, "s": cfg.s, "beta": cfg.beta,
-            "horizon": cfg.horizon, "epsilon": cfg.epsilon, "seed": cfg.seed,
-        })
-        assert EnsembleConfig.from_json(text) == cfg
-
     def test_lifetime_ordering_under_threshold_bound(self):
         # epsilon < e^{-2ks} forces 0-vortices to outlive 1-vortices
         for k, s in [(1.0, 1.0), (0.5, 2.0), (1.5, 0.4)]:

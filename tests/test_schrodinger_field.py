@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -408,6 +407,5 @@ class TestGridReport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "r_x,r_y,t,residual_real,residual_imag"
         assert len(lines) == 3
-        summary = json.loads(report.summary_json())
-        assert summary["n_points"] == 2
-        assert summary["max_abs_imag"] < 1e-10
+        assert report.residual_imag.size == 2
+        assert report.max_abs_imag < 1e-10

@@ -318,11 +318,3 @@ class TestGeometry:
         partner = squared_map(Branch.ZERO_VORTEX, k, zp)
         assert direct[0] / direct[2] == pytest.approx(partner[0] / partner[2],
                                                       rel=1e-12)
-
-
-class TestDescriptor:
-    def test_json_round_trippable(self):
-        sol = VortexSolution(Branch.ONE_VORTEX, k=2.0, s=3.0, beta=1.0)
-        d = sol.descriptor()
-        assert d["branch"] == "one_vortex"
-        assert d["collapse_time"] == pytest.approx(0.5)

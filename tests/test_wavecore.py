@@ -303,6 +303,11 @@ class TestLaplace:
         scale = z ** c.x
         assert ru < 1e-6 * scale and rv < 1e-6 * scale
 
+    @pytest.mark.parametrize("h", [0.0, -1e-4, 0.1, -279448.0, math.nan])
+    def test_step_bounds(self, h):
+        with pytest.raises(DomainError, match="step size"):
+            laplace_residual(2.0, CParam(1.0, 2.0), h)
+
 
 class TestContour:
     def test_entire_function_integrates_to_zero(self):
@@ -363,7 +368,7 @@ class TestNormalizability:
         (1.0, 1.0, NormalizabilityKind.RESTRICTED),
     ])
     def test_classification(self, z, x, kind):
-        assert normalizability(z, x).kind is kind
+        assert normalizability(z, x) is kind
 
     def test_rejects_nonpositive_z(self):
         with pytest.raises(DomainError):
