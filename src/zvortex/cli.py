@@ -127,16 +127,22 @@ def _default_tolerance(fallback: float) -> float:
             f"{TOLERANCE_ENV} must be a number, got {override!r}") from None
 
 
-class _Group(click.Group):
-    """Turns a DomainError raised by any command (or by its parameter
-    handling) into an ``error:`` line on stderr and exit code 1."""
+class _Command(click.Command):
+    """Runs the command under ``wavecore.float_range``, so that a value past
+    the float range is a DomainError naming the command, and turns any
+    DomainError into an ``error:`` line on stderr and exit code 1."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            with wc.float_range(f"a value computed by {self.name}"):
+                return super().invoke(ctx)
         except DomainError as exc:
             click.echo(f"error: {exc}", err=True)
             ctx.exit(1)
+
+
+class _Group(click.Group):
+    command_class = _Command
 
 
 @click.group(cls=_Group)
@@ -297,8 +303,7 @@ def cmd_trajectory(params_path, out_path, fmt, hbar, mass):
         raise click.UsageError("params must provide k or u_f")
     t_max = _number(params, "t_max", 1.0)
     steps = _count(params, "steps", 100, minimum=0, maximum=MAX_STEPS)
-    t_grid = [t_max * i / (steps - 1) for i in range(steps)] if steps > 1 \
-        else ([0.0] if steps == 1 else [])
+    t_grid = t_max * np.arange(steps) / (steps - 1) if steps > 1 else np.zeros(steps)
     traj = vx.trajectory(sol, t_grid=t_grid)
     t_star = vx.collapse_time(sol)
     footer = {"collapse_time": None if math.isinf(t_star) else t_star,
@@ -354,19 +359,22 @@ def cmd_ensemble(params_path, out_path, fmt, seed, bits_out):
         config = ensemble_mod.EnsembleConfig(**params)
     except TypeError as exc:
         raise click.UsageError(f"bad ensemble config: {exc}")
-    # The bits are written as they are merged; without --bits-out they are
-    # discarded.
-    with _open_output(bits_out or os.devnull, "wb") as bits:
-        result = ensemble_mod.simulate(config, bits)
-        bits.write(b"\n")
-    if fmt == "json":
-        _emit(out_path, [result.report.to_json(), "\n"])
-    else:
-        report = result.report.to_dict()
-        keys = sorted(report)
-        values = (report[k] for k in keys)
-        _emit(out_path, [",".join(keys), "\n", ",".join(
-            _fmt(v) if isinstance(v, float) else str(v) for v in values), "\n"])
+
+    def report() -> Iterator[str]:
+        # Runs once _emit has opened --out. The bits are written as they
+        # are merged; without --bits-out they are discarded.
+        with _open_output(bits_out or os.devnull, "wb") as bits:
+            rep = ensemble_mod.simulate(config, bits).report.to_dict()
+            bits.write(b"\n")
+        if fmt == "json":
+            yield json.dumps(rep, sort_keys=True) + "\n"
+        else:
+            keys = sorted(rep)
+            yield ",".join(keys) + "\n" + ",".join(
+                _fmt(rep[k]) if isinstance(rep[k], float) else str(rep[k])
+                for k in keys) + "\n"
+
+    _emit(out_path, report())
 
 
 # -------------------------------------------------------------- geometry
@@ -386,10 +394,8 @@ def cmd_geometry(params_path, out_path, fmt):
         raise click.UsageError(f"z_max must be positive, got {z_max!r}")
     z_min = _number(params, "z_min", 1.0 / z_max)
     i = np.arange(n)
-    # A grid beyond the float range is rejected by the segment checks.
-    with np.errstate(over="ignore"):
-        one_z = 1.0 + (z_max - 1.0) * i / (n - 1)
-        zero_z = z_min + (1.0 - z_min) * i / (n - 1)
+    one_z = 1.0 + (z_max - 1.0) * i / (n - 1)
+    zero_z = z_min + (1.0 - z_min) * i / (n - 1)
     # Rounding can put the formula's last point just above 1, off the
     # 0-vortex segment; the segment's end is exactly z = 1.
     zero_z[-1] = 1.0

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .schrodinger_field import PhysicalParams
 from .vortex import Branch, VortexSolution, k_from_potential
-from .wavecore import DomainError
+from .wavecore import DomainError, float_range
 
 
 class BelowLadderError(DomainError):
@@ -109,6 +109,7 @@ class TraceStep:
     k: float
 
 
+@float_range("k")
 def k_jump_trace(ladder: EnergyLadder, energy_schedule: Iterable[float],
                  params: PhysicalParams) -> list[TraceStep]:
     """Piecewise-constant k along an energy schedule.

@@ -29,7 +29,8 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .tables import format_rows
-from .wavecore import CParam, DomainError, STEP_FIRST, STEP_SECOND, psi_values
+from .wavecore import (CParam, DomainError, STEP_FIRST, STEP_SECOND,
+                       _require_positive, psi_values)
 
 # Callables and points take floats or numpy arrays of one broadcast shape.
 ScalarField = Callable[..., "float | np.ndarray"]
@@ -85,7 +86,7 @@ class ZField:
         """
         rx, ry, t = point
         z = self.value(rx, ry, t)
-        _require_positive_field(z, point)
+        _require_positive(z, "field value", point)
         f = self.value
         h1, h2 = self.h1, self.h2
         zt = self.z_t(rx, ry, t) if self.z_t else (
@@ -103,18 +104,6 @@ class ZField:
     def has_analytic_partials(self) -> bool:
         return all(p is not None
                    for p in (self.z_t, self.z_x, self.z_y, self.z_xx, self.z_yy))
-
-
-def _require_positive_field(z, point: Point) -> None:
-    """Reject a z that is not positive (NaN included), naming the first
-    offending point."""
-    bad = ~(np.asarray(z) > 0.0)
-    if bad.any():
-        zb, *pb = np.broadcast_arrays(z, *point)
-        i = np.flatnonzero(np.broadcast_to(bad, zb.shape))[0]
-        where = tuple(float(c.flat[i]) for c in pb)
-        raise DomainError(f"field must be positive, got z={float(zb.flat[i])} "
-                          f"at {where}")
 
 
 def constant_field(z0: float = 1.0) -> ZField:
@@ -201,7 +190,7 @@ def complex_residual(field: ZField, c: CParam, params: PhysicalParams,
         raise DomainError("c must be nonzero")
     rx, ry, _ = point
     z, zt, zx, zy, zxx, zyy = field.partials(point)
-    kin = params.hbar ** 2 / (2.0 * params.mass)
+    kin = params.hbar ** 2 / (2.0 * np.float64(params.mass))
     grad2 = zx * zx + zy * zy
     u = potential.at(rx, ry)
     re = kin * (zxx + zyy + (c.x - 1.0) / z * grad2) - z * c.x / mod2 * u

@@ -16,6 +16,7 @@ gradient-map line-segment geometry.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .schrodinger_field import PhysicalParams, ZField, exponential_field
-from .wavecore import DomainError
+from .tables import BLOCK_ROWS
+from .wavecore import DomainError, _require_positive, float_range
 
 # The closed forms below hold for the paper-default exponent x=1, y=2.
 C_X = 1.0
@@ -44,15 +46,12 @@ class Branch(Enum):
         return Branch.ZERO_VORTEX if self is Branch.ONE_VORTEX else Branch.ONE_VORTEX
 
 
-def _overflow(what: str, k: float, s: float) -> DomainError:
-    return DomainError(f"{what} overflows the float range (k={k}, s={s})")
-
-
 def k_from_potential(u_f: float, params: PhysicalParams) -> float:
     """k = sqrt(2 m U_f / (5 hbar^2))."""
     if u_f < 0.0:
         raise DomainError(f"potential must be non-negative, got {u_f}")
-    return math.sqrt(2.0 * params.mass * u_f / (5.0 * params.hbar ** 2))
+    # In numpy, so that past the float range it raises under float_range.
+    return math.sqrt(np.float64(2.0) * params.mass * u_f / (5.0 * params.hbar ** 2))
 
 
 @dataclass(frozen=True)
@@ -82,20 +81,19 @@ class VortexSolution:
             object.__setattr__(self, "branch", self.branch.other)
 
     def log_z(self, t: float) -> float:
-        return self.branch.sign * self.k * self.s - 3.0 * self.k ** 2 * self.beta * t
+        """ln z at t (elementwise over an array t); an np.float64 for a
+        float t. In numpy, so that it raises under float_range."""
+        return (self.branch.sign * np.float64(self.k) * self.s
+                - 3.0 * np.float64(self.k ** 2) * self.beta * t)
 
+    @float_range("z")
     def z(self, t: float) -> float:
-        try:
-            return math.exp(self.log_z(t))
-        except OverflowError:
-            raise _overflow("z", self.k, self.s) from None
+        return math.exp(self.log_z(t))
 
+    @float_range("psi")
     def psi(self, t: float) -> complex:
         """psi = z**(1+2i) = z * exp(2i ln z)."""
-        try:
-            return cmath.exp(complex(C_X, C_Y) * self.log_z(t))
-        except OverflowError:
-            raise _overflow("psi", self.k, self.s) from None
+        return cmath.exp(self.log_z(t) * complex(C_X, C_Y))
 
     def to_field(self) -> ZField:
         """Full z(r_x, r_y, t) field with analytic partials.
@@ -144,42 +142,38 @@ def imag_solution(branch: Branch, u_f: float, params: PhysicalParams,
 
 
 def _mapped(f, x: np.ndarray) -> np.ndarray:
-    """``f`` applied to each value of the array, as Python floats.
+    """``f`` applied to each value of the 1-d array, as Python floats, a
+    block of ``BLOCK_ROWS`` values at a time.
 
     ``math.exp``, ``cos`` and ``sin`` keep the bits of the scalar formulas;
     numpy's versions differ from them in the last place on some arguments.
     """
-    return np.fromiter(map(f, x.tolist()), float, x.size)
+    return np.fromiter(itertools.chain.from_iterable(
+        map(f, x[i:i + BLOCK_ROWS].tolist()) for i in range(0, x.size, BLOCK_ROWS)),
+        float, x.size)
 
 
+@float_range("vortex radius")
 def trajectory(sol: VortexSolution, t_grid: Sequence[float] = ()) -> Trajectory:
     """Sample the (u, v)-plane motion of the vortex at the given times.
 
     A radius or gradient radius beyond the float range is a DomainError.
     """
-    t = np.array(t_grid, dtype=float)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_z = sol.log_z(t)
-            radius = _mapped(math.exp, log_z)
-            gradient_radius = sol.k * radius * math.sqrt(2.0)
-        finite = np.isfinite(log_z).all() and np.isfinite(gradient_radius).all()
-    except OverflowError:  # k**2 or a radius beyond the float range
-        finite = False
-    if not finite:
-        raise DomainError(f"vortex radius is not finite on this time grid "
-                          f"(k={sol.k}, s={sol.s}, beta={sol.beta})")
+    t = np.asarray(t_grid, dtype=float)
+    log_z = sol.log_z(t)
+    radius = _mapped(math.exp, log_z)
     phase = C_Y * log_z
     return Trajectory(t=t, u=radius * _mapped(math.cos, phase),
                       v=radius * _mapped(math.sin, phase), radius=radius,
-                      gradient_radius=gradient_radius)
+                      gradient_radius=sol.k * radius * math.sqrt(2.0))
 
 
+@float_range("collapse time")
 def collapse_time(sol: VortexSolution) -> float:
     """Time at which z reaches 1 (1-vortex), or +inf for a 0-vortex."""
     if sol.branch is Branch.ZERO_VORTEX:
         return math.inf
-    return sol.s / (3.0 * sol.k * sol.beta)
+    return float(np.float64(sol.s) / (3.0 * sol.k * sol.beta))
 
 
 def collapse_bit(sol: VortexSolution) -> int:
@@ -187,6 +181,7 @@ def collapse_bit(sol: VortexSolution) -> int:
     return 1 if sol.branch is Branch.ONE_VORTEX else 0
 
 
+@float_range("0-vortex lifetime")
 def zero_vortex_lifetime(sol: VortexSolution, epsilon: float) -> float:
     """Time for a 0-vortex to shrink below threshold z = epsilon.
 
@@ -197,62 +192,52 @@ def zero_vortex_lifetime(sol: VortexSolution, epsilon: float) -> float:
         raise DomainError("threshold lifetime applies to 0-vortices only")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    t0 = (math.log(1.0 / epsilon) - sol.k * sol.s) / (3.0 * sol.k ** 2 * sol.beta)
+    t0 = (math.log(1.0 / epsilon) - sol.k * sol.s) / (
+        3.0 * np.float64(sol.k ** 2) * sol.beta)
     if t0 <= 0.0:
         raise DomainError("epsilon >= e^{-ks}: threshold crossed at creation")
-    return t0
+    return float(t0)
 
 
+@float_range("normalization constant")
 def normalization_constant(sol: VortexSolution) -> float:
     """Constant A making A^2 * integral of |psi|^2 dt equal 1.
 
     A0 = e^{ks} k sqrt(6 beta) over [0, inf); A1 = k sqrt(6 beta)
     (e^{2ks} - 1)^{-1/2} over [0, t*].
     """
-    ks = sol.k * sol.s
-    root = sol.k * math.sqrt(6.0 * sol.beta)
-    try:
-        if sol.branch is Branch.ZERO_VORTEX:
-            return math.exp(ks) * root
-        em1 = math.expm1(2.0 * ks)
-    except OverflowError:
-        raise _overflow("normalization constant", sol.k, sol.s) from None
+    k = np.float64(sol.k)
+    ks = k * sol.s
+    root = k * math.sqrt(6.0 * np.float64(sol.beta))
+    if sol.branch is Branch.ZERO_VORTEX:
+        return float(math.exp(ks) * root)
+    em1 = math.expm1(2.0 * ks)
     if em1 <= 0.0:
         raise DomainError("e^{2ks} - 1 underflows; ks too small to normalize")
-    return root / math.sqrt(em1)
+    return float(root / math.sqrt(em1))
 
 
+@float_range("vortex ratio")
 def vortex_ratio(k: float, s: float) -> float:
     """Predicted 0-vortex to 1-vortex ratio e^{4ks} - e^{2ks} = (A0/A1)^2."""
-    if k * s <= 0.0:
+    ks = np.float64(k) * s
+    if ks <= 0.0:
         raise DomainError("k*s must be positive")
-    ks = k * s
-    try:
-        return math.exp(4.0 * ks) - math.exp(2.0 * ks)
-    except OverflowError:
-        raise _overflow("vortex ratio", k, s) from None
+    return math.exp(4.0 * ks) - math.exp(2.0 * ks)
 
 
 Point3 = tuple  # (p_x, p_y, p_z): floats, or arrays of one shape
 
 
 def _check_branch_z(branch: Branch, z: np.ndarray) -> None:
-    bad = ~(z > 0.0)
-    if bad.any():
-        raise DomainError(f"z must be positive, got {z[bad].flat[0]}")
+    _require_positive(z)
     if branch is Branch.ONE_VORTEX and (z < 1.0).any():
         raise DomainError("1-vortex segment lives on z >= 1")
     if branch is Branch.ZERO_VORTEX and (z > 1.0).any():
         raise DomainError("0-vortex segment lives on 0 < z <= 1")
 
 
-def _finite_point(*coords) -> Point3:
-    """The coordinates as a point, or a DomainError if one is not finite."""
-    if not all(np.isfinite(c).all() for c in coords):
-        raise DomainError("gradient-map point is not finite (beyond the float range)")
-    return coords
-
-
+@float_range("gradient-map point")
 def gradient_map_segment(branch: Branch, k: float, z) -> Point3:
     """The gradient map (z_x, z_y, z) on a branch's line segment, elementwise
     over ``z`` (a float or an array).
@@ -264,9 +249,8 @@ def gradient_map_segment(branch: Branch, k: float, z) -> Point3:
         raise DomainError(f"k must be positive, got {k}")
     z = np.asarray(z, dtype=float)
     _check_branch_z(branch, z)
-    with np.errstate(over="ignore"):
-        g = branch.sign * k * z
-    return _finite_point(g, g, z[()])
+    g = branch.sign * k * z
+    return g, g, z[()]
 
 
 def segment_involution(point: Point3, k: float) -> Point3:
@@ -279,25 +263,25 @@ def segment_involution(point: Point3, k: float) -> Point3:
     if not (z > 1.0).all():
         raise DomainError("involution input must have z > 1")
     g = -k / z
-    return _finite_point(g, g, 1.0 / z)
+    return g, g, 1.0 / z
 
 
+@float_range("gradient-map point")
 def segment_involution_inverse(point: Point3, k: float) -> Point3:
     """Inverse direction: 0-vortex line points (-kz, -kz, z), 0 < z < 1, back
     to the 1-vortex line, elementwise over the coordinates."""
     z = np.asarray(point[2], dtype=float)
     if not ((0.0 < z) & (z < 1.0)).all():
         raise DomainError("inverse involution input must have 0 < z < 1")
-    with np.errstate(over="ignore"):
-        g, w = k / z, 1.0 / z
-    return _finite_point(g, g, w)
+    g = k / z
+    return g, g, 1.0 / z
 
 
+@float_range("gradient-map point")
 def squared_map(branch: Branch, k: float, z) -> Point3:
     """Quadratic map (k^2 z^2, k^2 z^2, z^2), identical for both branches,
     elementwise over ``z`` (a float or an array)."""
     z = np.asarray(z, dtype=float)
     _check_branch_z(branch, z)
-    with np.errstate(over="ignore"):
-        q, w = k * k * z * z, z * z
-    return _finite_point(q, q, w)
+    q = np.float64(k) * k * z * z
+    return q, q, z * z

@@ -15,6 +15,7 @@ Each contour quadrature is one numpy sum over its nodes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -80,13 +81,30 @@ STEP_SECOND = 1e-4
 MIN_CONTOUR_POINTS = 64
 
 
-def _require_positive(z) -> None:
-    """Reject any z that is not positive (NaN included), naming the first."""
-    z = np.asarray(z)
-    bad = ~(z > 0.0)
-    if bad.any():
+@contextlib.contextmanager
+def float_range(what: str):
+    """Context manager and decorator: in its block numpy's overflow,
+    invalid-value and divide-by-zero flags raise, and any ArithmeticError
+    (FloatingPointError, OverflowError, ZeroDivisionError) is a DomainError
+    naming ``what``. Python float ``*`` and ``+`` overflow to inf silently;
+    a product taken as ``np.float64(a) * b`` raises, with the same bits."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except ArithmeticError:
         raise DomainError(
-            f"z must be positive for the real-log branch, got {z[bad].flat[0]}")
+            f"{what} overflows the float range; it is not finite") from None
+
+
+def _require_positive(z, what: str = "z", at: tuple = ()) -> None:
+    """Reject any z that is not positive (NaN included), naming the first;
+    given the coordinates ``at`` that z was taken at, also its point."""
+    bad = ~(np.asarray(z) > 0.0)
+    if bad.any():
+        zb, *coords = np.broadcast_arrays(z, *at)
+        i = np.flatnonzero(np.broadcast_to(bad, zb.shape))[0]
+        where = f" at {tuple(float(c.flat[i]) for c in coords)}" if at else ""
+        raise DomainError(f"{what} must be positive, got {zb.flat[i]}{where}")
 
 
 def psi_values(z, x, y):
@@ -165,7 +183,7 @@ def laplace_residual(z0, c0: CParam, h: float = STEP_SECOND) -> tuple:
     """
     px, mx, py, my = _shifted(z0, c0, h)
     center = eval_psi(z0, c0)
-    inv_h2 = 1.0 / (h * h)
+    inv_h2 = 1.0 / (np.float64(h) * h)
     lap_u = (px.u + mx.u + py.u + my.u - 4.0 * center.u) * inv_h2
     lap_v = (px.v + mx.v + py.v + my.v - 4.0 * center.v) * inv_h2
     return abs(lap_u), abs(lap_v)

@@ -247,6 +247,18 @@ class TestEnsemble:
         assert isinstance(result.exception, SystemExit)
         assert "error:" in result.output
 
+    def test_unopenable_out_runs_no_simulation(self, tmp_path):
+        # --out is opened before the simulation, so no bits file is written.
+        params = write_params(tmp_path, self.config())
+        bits_path = tmp_path / "bits.txt"
+        proc = run_cli_process("ensemble", "--params", params,
+                               "--bits-out", str(bits_path),
+                               "--out", os.path.join(os.devnull, "r.json"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "cannot open output file" in proc.stderr
+        assert not bits_path.exists()
+
     def test_unknown_key_usage_error(self, runner, tmp_path):
         cfg = self.config()
         cfg["bogus"] = 1
@@ -373,6 +385,17 @@ class TestBadInput:
                      ["--format", "json"], None, 1, id="geometry-point-overflow-json"),
         pytest.param("trajectory", {"k": 1000.0, "s": 1.0, "t_max": 0.1, "steps": 3},
                      [], None, 1, id="trajectory-radius-overflow"),
+        # Past the float range every command exits 1: psi overflows at x 1100;
+        # at x 1023 psi is finite and the Laplace stencil's sum overflows.
+        pytest.param("verify", {"grid": {"z": [2.0], "x": [1100.0]}}, [], None, 1,
+                     id="verify-psi-overflow"),
+        pytest.param("verify", {"grid": {"z": [2.0], "x": [1023.0]}}, [], None, 1,
+                     id="verify-stencil-overflow"),
+        pytest.param("verify", {"u_f": 1e300}, [], None, 1, id="verify-u_f-huge"),
+        pytest.param("ladder", {"eigenvalues": [1.0, 3.0], "schedule": [2.0],
+                                "hbar": 1e-200}, [], None, 1, id="ladder-hbar-tiny"),
+        pytest.param("ensemble", {**ENSEMBLE, "k": 1e-200}, [], None, 1,
+                     id="ensemble-k-tiny"),
         pytest.param("ensemble", {**ENSEMBLE, "digest_bits": -3}, [], None, 1,
                      id="ensemble-digest_bits-negative"),
         pytest.param("ensemble", {**ENSEMBLE, "digest_bits": 2.5}, [], None, 2,
@@ -476,17 +499,35 @@ GOOD_VALUES = {
 }
 
 
+# Keys that set the amount of work (or are not numbers) keep their good
+# values; any other key may instead hold magnitudes from 1e-300 to 1e300, of
+# either sign, in lists no longer than the good ones.
+WORK_KEYS = {"branch", "steps", "n", "pair_production_rate", "horizon", "seed",
+             "digest_bits"}
+MAGNITUDE = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                      st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0))
+_magnitude_lists = st.lists(MAGNITUDE, min_size=1, max_size=3)
+MAGNITUDES = {
+    "eigenvalues": _magnitude_lists, "schedule": _magnitude_lists,
+    "grid": st.fixed_dictionaries({}, optional={
+        "z": _magnitude_lists, "x": _magnitude_lists, "y": _magnitude_lists}),
+}
+
 _MISSING = object()
 
 
 @st.composite
 def command_and_params(draw):
     """A command and a params file for it: every key of the command with a
-    good value, then up to three keys (an unknown one among them) set to a
-    bad value or dropped. One file in ten is not an object at all."""
+    good value, up to two keys that do not set the work given magnitudes
+    from 1e-300 to 1e300, then up to three keys (an unknown one among them)
+    set to a bad value or dropped. One file in ten is not an object at all."""
     command = draw(st.sampled_from(sorted(GOOD_VALUES)))
     good = GOOD_VALUES[command]
     params = {key: draw(value) for key, value in good.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(set(good) - WORK_KEYS)),
+                             max_size=2, unique=True)):
+        params[key] = draw(MAGNITUDES.get(key, MAGNITUDE))
     for key in draw(st.lists(st.sampled_from([*good, "unknown_key"]),
                              max_size=3, unique=True)):
         value = draw(st.one_of(st.just(_MISSING), BAD_VALUES))

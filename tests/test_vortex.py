@@ -241,6 +241,47 @@ class TestOverflow:
             vortex_ratio(1000.0, 1.0)
 
 
+class TestSilentOverflow:
+    """Python float * and + overflow to inf without raising; at k 1e154 and
+    s 1e155 the product k s is inf, and each closed form still says so with
+    a DomainError instead of returning inf or nan."""
+
+    K, S = 1e154, 1e155
+
+    def test_z(self):
+        with pytest.raises(DomainError, match="z overflows"):
+            VortexSolution(Branch.ONE_VORTEX, k=self.K, s=self.S).z(0.0)
+
+    def test_psi(self):
+        with pytest.raises(DomainError, match="psi overflows"):
+            VortexSolution(Branch.ONE_VORTEX, k=self.K, s=self.S).psi(0.0)
+
+    def test_normalization_constant(self):
+        sol = VortexSolution(Branch.ZERO_VORTEX, k=self.K, s=self.S)
+        with pytest.raises(DomainError, match="normalization constant"):
+            normalization_constant(sol)
+
+    def test_vortex_ratio(self):
+        with pytest.raises(DomainError, match="vortex ratio"):
+            vortex_ratio(self.K, self.S)
+
+    def test_collapse_time(self):
+        # 3 k beta underflows to 0.
+        sol = VortexSolution(Branch.ONE_VORTEX, k=1e-200, s=1e200, beta=1e-200)
+        with pytest.raises(DomainError, match="collapse time"):
+            collapse_time(sol)
+
+    def test_values_stay_python_floats(self):
+        sol = VortexSolution(Branch.ONE_VORTEX, k=1.3, s=0.7, beta=0.9)
+        assert type(sol.z(0.1)) is float and type(sol.psi(0.1)) is complex
+        assert type(collapse_time(sol)) is float
+        assert type(vortex_ratio(1.3, 0.7)) is float
+        for branch in Branch:
+            assert type(normalization_constant(VortexSolution(branch, 1.3, 0.7))) is float
+        zero = VortexSolution(Branch.ZERO_VORTEX, k=1.3, s=0.7)
+        assert type(zero_vortex_lifetime(zero, 1e-6)) is float
+
+
 class TestGeometry:
     def test_segment_endpoints(self):
         assert gradient_map_segment(Branch.ONE_VORTEX, 1.0, 1.0) == (1.0, 1.0, 1.0)

@@ -21,7 +21,7 @@ from zvortex import (
     partials_uv,
     psi_values,
 )
-from zvortex.wavecore import ContourResult, MIN_CONTOUR_POINTS, WaveValue
+from zvortex.wavecore import ContourResult, MIN_CONTOUR_POINTS, WaveValue, float_range
 
 E = math.e
 
@@ -373,3 +373,39 @@ class TestNormalizability:
     def test_rejects_nonpositive_z(self):
         with pytest.raises(DomainError):
             normalizability(-1.0, 1.0)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("overflow", [
+        lambda: np.float64(1e308) * 10.0,          # overflow
+        lambda: np.zeros(2) / 0.0,                 # invalid value
+        lambda: np.ones(2) / 0.0,                  # divide by zero
+        lambda: math.exp(1000.0),                  # OverflowError
+        lambda: 1.0 / (1e-200 * 1e-200),           # ZeroDivisionError
+    ])
+    def test_block_past_the_float_range_is_a_domain_error(self, overflow):
+        with pytest.raises(DomainError,
+                           match="^psi overflows the float range; it is not finite$"):
+            with float_range("psi"):
+                overflow()
+
+    def test_decorator_and_passthrough(self):
+        @float_range("value")
+        def f(x):
+            if x < 0:
+                raise DomainError("x must be non-negative")
+            return np.float64(x) * x
+
+        assert f(3.0) == 9.0
+        with pytest.raises(DomainError, match="value overflows"):
+            f(1e200)
+        with pytest.raises(DomainError, match="non-negative"):
+            f(-1.0)
+
+    def test_flags_raise_only_inside(self):
+        before = np.geterr()
+        with float_range("value"):
+            assert np.geterr() == {**before, "over": "raise", "invalid": "raise",
+                                   "divide": "raise"}
+        assert np.geterr() == before
+
