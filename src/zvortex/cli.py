@@ -120,11 +120,11 @@ def _default_tolerance(fallback: float) -> float:
     override = os.environ.get(TOLERANCE_ENV)
     if not override:
         return fallback
-    try:
-        return float(override)
-    except ValueError:
-        raise click.UsageError(
-            f"{TOLERANCE_ENV} must be a number, got {override!r}") from None
+    with contextlib.suppress(ValueError):
+        if math.isfinite(value := float(override)):
+            return value
+    raise click.UsageError(
+        f"{TOLERANCE_ENV} must be a finite number, got {override!r}")
 
 
 class _Command(click.Command):
@@ -196,6 +196,8 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
     z_values = _numbers(grid, "z", [0.5, 0.8, 1.0, 1.5, 2.0])
     x_values = _numbers(grid, "x", [-2.0, -1.0, 0.0, 1.0, 2.0])
     y_values = _numbers(grid, "y", [-2.0, -1.0, 0.0, 1.0, 2.0])
+    if not (z_values and x_values and y_values):
+        raise click.UsageError("grid z, x and y must each hold a value")
     if any(z <= 0.0 for z in z_values):
         raise click.UsageError("grid z values must be positive")
     h1 = _number(params, "h_first", 1e-5)
@@ -253,7 +255,7 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
                                      f(rx, ry, t) + perturb * t)(field.value))
         report = sf.evaluate_grid(field, c12, phys, pot, r_grid, r_grid, t_grid)
         worst = getattr(report, part)
-        tol = res_tol if field.has_analytic_partials() else 1e-5
+        tol = res_tol if field.derivatives is not None else 1e-5
         checks.append({"name": name, "max_residual": worst,
                        "tolerance": tol, "pass": worst <= tol})
     return checks
@@ -367,7 +369,9 @@ def cmd_ensemble(params_path, out_path, fmt, seed, bits_out):
             rep = ensemble_mod.simulate(config, bits).report.to_dict()
             bits.write(b"\n")
         if fmt == "json":
-            yield json.dumps(rep, sort_keys=True) + "\n"
+            # JSON has no Infinity: the ratio of a run without 1-bits is null.
+            yield json.dumps({k: None if v == math.inf else v
+                              for k, v in rep.items()}, sort_keys=True) + "\n"
         else:
             keys = sorted(rep)
             yield ",".join(keys) + "\n" + ",".join(

@@ -13,7 +13,7 @@ vanishes.
 
 Everything works elementwise on numpy arrays. A ``ZField`` callable takes
 r_x, r_y and t as scalars or as arrays of one broadcast shape and returns
-z (or a partial) elementwise; a scalar result stands for a constant.
+z (or its partials) elementwise; a scalar result stands for a constant.
 ``ZField.partials`` and ``complex_residual`` take a point whose
 coordinates are scalars or such arrays. ``evaluate_grid`` takes the
 partials once for a whole lattice, and ``GridReport`` holds its axes and
@@ -61,19 +61,14 @@ NATURAL_UNITS = PhysicalParams()
 class ZField:
     """Positive scalar field z(r_x, r_y, t) with optional analytic partials.
 
-    Every callable must work elementwise on numpy arrays. When a partial
-    derivative callable is absent it is computed by central finite
-    differences of ``value`` (second order, steps ``h1``/``h2``).
+    ``value(r_x, r_y, t)`` returns z and ``derivatives(r_x, r_y, t)``, when
+    given, returns (z_t, z_x, z_y, z_xx, z_yy); both work elementwise on
+    numpy arrays. Without ``derivatives`` the partials are central finite
+    differences of ``value`` (second order, steps STEP_FIRST/STEP_SECOND).
     """
 
     value: ScalarField
-    z_t: ScalarField | None = None
-    z_x: ScalarField | None = None
-    z_y: ScalarField | None = None
-    z_xx: ScalarField | None = None
-    z_yy: ScalarField | None = None
-    h1: float = STEP_FIRST
-    h2: float = STEP_SECOND
+    derivatives: Callable[..., tuple] | None = None
 
     def __call__(self, rx, ry, t):
         return self.value(rx, ry, t)
@@ -87,57 +82,42 @@ class ZField:
         rx, ry, t = point
         z = self.value(rx, ry, t)
         _require_positive(z, "field value", point)
-        f = self.value
-        h1, h2 = self.h1, self.h2
-        zt = self.z_t(rx, ry, t) if self.z_t else (
-            (f(rx, ry, t + h1) - f(rx, ry, t - h1)) / (2.0 * h1))
-        zx = self.z_x(rx, ry, t) if self.z_x else (
-            (f(rx + h1, ry, t) - f(rx - h1, ry, t)) / (2.0 * h1))
-        zy = self.z_y(rx, ry, t) if self.z_y else (
-            (f(rx, ry + h1, t) - f(rx, ry - h1, t)) / (2.0 * h1))
-        zxx = self.z_xx(rx, ry, t) if self.z_xx else (
-            (f(rx + h2, ry, t) - 2.0 * z + f(rx - h2, ry, t)) / (h2 * h2))
-        zyy = self.z_yy(rx, ry, t) if self.z_yy else (
-            (f(rx, ry + h2, t) - 2.0 * z + f(rx, ry - h2, t)) / (h2 * h2))
-        return z, zt, zx, zy, zxx, zyy
-
-    def has_analytic_partials(self) -> bool:
-        return all(p is not None
-                   for p in (self.z_t, self.z_x, self.z_y, self.z_xx, self.z_yy))
+        if self.derivatives is not None:
+            return (z, *self.derivatives(rx, ry, t))
+        f, h1, h2 = self.value, STEP_FIRST, STEP_SECOND
+        return (z,
+                (f(rx, ry, t + h1) - f(rx, ry, t - h1)) / (2.0 * h1),
+                (f(rx + h1, ry, t) - f(rx - h1, ry, t)) / (2.0 * h1),
+                (f(rx, ry + h1, t) - f(rx, ry - h1, t)) / (2.0 * h1),
+                (f(rx + h2, ry, t) - 2.0 * z + f(rx - h2, ry, t)) / (h2 * h2),
+                (f(rx, ry + h2, t) - 2.0 * z + f(rx, ry - h2, t)) / (h2 * h2))
 
 
 def constant_field(z0: float = 1.0) -> ZField:
     """z = z0 everywhere; the callables return scalars, which broadcast."""
-    zero = lambda rx, ry, t: 0.0
     return ZField(value=lambda rx, ry, t: z0,
-                  z_t=zero, z_x=zero, z_y=zero, z_xx=zero, z_yy=zero)
+                  derivatives=lambda rx, ry, t: (0.0,) * 5)
 
 
 def exponential_field(a_x: float, a_y: float, a_t: float, scale: float = 1.0) -> ZField:
     """z = scale * exp(a_x r_x + a_y r_y + a_t t) with analytic partials."""
     val = lambda rx, ry, t: scale * np.exp(a_x * rx + a_y * ry + a_t * t)
-    return ZField(
-        value=val,
-        z_t=lambda rx, ry, t: a_t * val(rx, ry, t),
-        z_x=lambda rx, ry, t: a_x * val(rx, ry, t),
-        z_y=lambda rx, ry, t: a_y * val(rx, ry, t),
-        z_xx=lambda rx, ry, t: a_x * a_x * val(rx, ry, t),
-        z_yy=lambda rx, ry, t: a_y * a_y * val(rx, ry, t),
-    )
+
+    def derivatives(rx, ry, t):
+        z = val(rx, ry, t)
+        return a_t * z, a_x * z, a_y * z, a_x * a_x * z, a_y * a_y * z
+
+    return ZField(value=val, derivatives=derivatives)
 
 
 def sum_field(a: ZField, b: ZField) -> ZField:
     """Pointwise sum of two fields (partials add when both are analytic)."""
-    both = a.has_analytic_partials() and b.has_analytic_partials()
-    add = lambda fa, fb: (lambda rx, ry, t: fa(rx, ry, t) + fb(rx, ry, t))
-    return ZField(
-        value=add(a.value, b.value),
-        z_t=add(a.z_t, b.z_t) if both else None,
-        z_x=add(a.z_x, b.z_x) if both else None,
-        z_y=add(a.z_y, b.z_y) if both else None,
-        z_xx=add(a.z_xx, b.z_xx) if both else None,
-        z_yy=add(a.z_yy, b.z_yy) if both else None,
-    )
+    value = lambda rx, ry, t: a.value(rx, ry, t) + b.value(rx, ry, t)
+    if a.derivatives is None or b.derivatives is None:
+        return ZField(value=value)
+    return ZField(value=value, derivatives=lambda rx, ry, t: tuple(
+        da + db for da, db in zip(a.derivatives(rx, ry, t),
+                                  b.derivatives(rx, ry, t))))
 
 
 @dataclass(frozen=True)

@@ -130,15 +130,11 @@ def eval_psi(z, c: CParam) -> WaveValue:
 def partials_uv(z: float, c: CParam) -> tuple[float, float, float, float]:
     """Analytic partials (du/dx, dv/dy, du/dy, dv/dx) of psi in the exponent.
 
-    du/dx = dv/dy = z**x ln(z) cos(y ln z) and du/dy = -dv/dx by
-    construction, so the Cauchy-Riemann equations hold identically.
+    psi is analytic in c, so u_x + i v_x = dpsi/dc = (ln z) psi, v_y = u_x
+    and u_y = -v_x: the Cauchy-Riemann equations hold identically.
     """
-    _require_positive(z)
-    lnz = math.log(z)
-    r = z ** c.x * lnz
-    du_dx = r * math.cos(c.y * lnz)
-    dv_dx = r * math.sin(c.y * lnz)
-    return du_dx, du_dx, -dv_dx, dv_dx
+    w = dpsi_dc(z, c)
+    return w.u, w.u, -w.v, w.v
 
 
 def _shifted(z, c: CParam, h: float) -> tuple:

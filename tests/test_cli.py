@@ -259,6 +259,23 @@ class TestEnsemble:
         assert "cannot open output file" in proc.stderr
         assert not bits_path.exists()
 
+    def test_no_one_bits_gives_null_ratio(self, runner, tmp_path):
+        # No 1-bit is emitted, so the ratio is infinite: null in JSON, inf
+        # in CSV and in the Python report.
+        config = {**self.config(), "pair_production_rate": 50.0, "horizon": 0.2}
+        params = write_params(tmp_path, config)
+        as_json = runner.invoke(cli, ["ensemble", "--params", params])
+        as_csv = runner.invoke(cli, ["ensemble", "--params", params,
+                                     "--format", "csv"])
+        assert as_json.exit_code == as_csv.exit_code == 0
+        report = json.loads(as_json.output, parse_constant=pytest.fail)
+        assert report["emitted_one"] == 0
+        assert report["empirical_ratio"] is None
+        assert next(csv.DictReader(as_csv.output.splitlines()))[
+            "empirical_ratio"] == "inf"
+        rep = zvortex.simulate(zvortex.EnsembleConfig(**config)).report
+        assert rep.empirical_ratio == math.inf
+
     def test_unknown_key_usage_error(self, runner, tmp_path):
         cfg = self.config()
         cfg["bogus"] = 1
@@ -363,6 +380,13 @@ class TestBadInput:
                      id="ladder-negative-potential"),
         pytest.param("verify", {}, [], {"ZVORTEX_TOLERANCE": "abc"}, 2,
                      id="verify-tolerance-env-text"),
+        *(pytest.param("verify", {}, [], {"ZVORTEX_TOLERANCE": text}, 2,
+                       id=f"verify-tolerance-env-{text}")
+          for text in ("nan", "inf", "-inf")),
+        *(pytest.param("verify", {"grid": {axis: []}}, [], None, 2,
+                       id=f"verify-grid-{axis}-empty") for axis in "zxy"),
+        pytest.param("ensemble", {**ENSEMBLE, "k": True}, [], None, 2,
+                     id="ensemble-k-bool"),
         pytest.param("verify", {}, ["--hbar", "-1"], None, 1,
                      id="verify-hbar-negative-flag"),
         pytest.param("verify", {"h_second": -279448}, [], None, 1,

@@ -124,6 +124,13 @@ class TestConfig:
         with pytest.raises(TypeError, match="digest_bits"):
             make_config(digest_bits=value)
 
+    @pytest.mark.parametrize("name", ["pair_production_rate",
+                                      "ratio_zero_to_one", "k", "s", "beta",
+                                      "horizon", "epsilon"])
+    def test_boolean_rejected(self, name):
+        with pytest.raises(TypeError, match=name):
+            make_config(**{name: True})
+
     def test_lifetimes_match_vortex_closed_forms(self):
         for k, s, beta, eps in [(1.0, 1.0, 1.0, 1e-6), (0.4, 2.5, 0.7, 1e-3),
                                 (1.7, 0.3, 2.2, 0.5)]:
@@ -235,22 +242,6 @@ class TestOracle:
         for case, (t0, t1, arrival1, expected) in enumerate(tie_cases()):
             assert _merge_bits(t0, t1, arrival1).tobytes().decode() == expected, case
 
-    @pytest.mark.parametrize("window,split", [(1, 1), (2, 3), (5, 8)])
-    def test_merge_ties_straddle_windows(self, monkeypatch, window, split):
-        monkeypatch.setattr(ensemble, "_WINDOW", window)
-        straddling = 0
-        for case, (t0, t1, arrival1, expected) in enumerate(tie_cases()):
-            assert _merge_bits(t0, t1, arrival1).tobytes().decode() == expected, case
-            # The first 1-bit of a window and the last of the one before
-            # are tied with the same 0-bits.
-            first = np.arange(window, t1.size, window)
-            straddling += np.count_nonzero(
-                (t1[first] == t1[first - 1]) & np.isin(t1[first], t0))
-        assert straddling > 100
-        # The same windows inside flushes of `split` arrivals.
-        for case, (pop, expected) in enumerate(tie_populations()):
-            assert stream_population(*pop, split)[0] == expected, case
-
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16])
     def test_ties_straddle_flushes(self, chunk):
         # Integer emission times tie often; a tie whose vortices arrive in
@@ -315,8 +306,8 @@ def stream_population(arrivals, is_zero, life0, life1, horizon, chunk):
 
 
 class TestEngineEdges:
-    """The batch, chunk, flush and window edges of simulate, held to the
-    argsort engine."""
+    """The batch, chunk and flush edges of simulate, held to the argsort
+    engine."""
 
     def test_exponential_fill_matches_exponential(self):
         # _arrival_times relies on this to keep the parent's random stream.
@@ -334,10 +325,8 @@ class TestEngineEdges:
 
     @pytest.mark.parametrize("kw", ORACLE_CONFIGS)
     def test_small_blocks(self, monkeypatch, kw):
-        # Chunks of 7 arrivals, so a flush every 7 arrivals, and windows of
-        # 5 1-bits.
+        # Chunks of 7 arrivals, so a flush every 7 arrivals.
         monkeypatch.setattr(ensemble, "_CHUNK", 7)
-        monkeypatch.setattr(ensemble, "_WINDOW", 5)
         assert_matches_oracle(make_config(**kw))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -353,10 +342,8 @@ class TestEngineEdges:
         # horizon: at the horizon, the next chunk holds no arrival.
         for chunk in (batch - offset, batch // 2 - offset, within - offset,
                       within // 2 - offset):
-            for window in (3 - offset, 1 << 14):
-                monkeypatch.setattr(ensemble, "_CHUNK", chunk)
-                monkeypatch.setattr(ensemble, "_WINDOW", window)
-                assert_matches_oracle(cfg)
+            monkeypatch.setattr(ensemble, "_CHUNK", chunk)
+            assert_matches_oracle(cfg)
 
     def test_empty_branches(self):
         none_zero = assert_matches_oracle(make_config(ratio_zero_to_one=0.0))
@@ -453,6 +440,27 @@ class TestStream:
         cfg = make_config()
         assert equalization_check(cfg).report == simulate(cfg).report
         assert len(sinks) == 1 and sinks[0] is not None
+
+    @pytest.mark.parametrize("kw", [{}, {"epsilon": EPS_ZERO_FIRST}])
+    def test_flush_merges_about_one_chunk(self, monkeypatch, kw):
+        # Whichever branch lives longer, a flush merges the emissions of
+        # about one chunk of arrivals, while the pending longer-lived
+        # branch holds more than two chunks' worth.
+        monkeypatch.setattr(ensemble, "_CHUNK", 1024)
+        merge, sizes = ensemble._merge_bits, []
+
+        def recording(t0, t1, arrival1, placed=0):
+            sizes.append(t0.size + t1.size)
+            return merge(t0, t1, arrival1, placed)
+
+        monkeypatch.setattr(ensemble, "_merge_bits", recording)
+        cfg = make_config(pair_production_rate=5e4, **kw)
+        rep = assert_matches_oracle(cfg).report
+        lag = cfg.pair_production_rate * 0.5 * abs(
+            cfg.zero_lifetime - cfg.one_lifetime)
+        assert lag > 2 * 1024
+        assert sum(sizes) == rep.emitted and len(sizes) > 500
+        assert max(sizes) <= 2 * 1024
 
     def test_peak_memory_set_by_the_lifetime_gap(self, tmp_path):
         # At a fixed L0 - L1, 1e6 and then 2e6 events: the pending 0-bits

@@ -329,8 +329,7 @@ class TestGridReport:
         # The partials are taken once for the whole lattice, at exactly the
         # report's points, each once and in the report's row order.
         base = one_vortex_field(k=1.0)
-        fld = (CountingField(**{k: getattr(base, k) for k in
-                                ("value", "z_t", "z_x", "z_y", "z_xx", "z_yy")})
+        fld = (CountingField(value=base.value, derivatives=base.derivatives)
                if analytic else CountingField(value=base.value))
         report = evaluate_grid(fld, C12, NAT, Potential.fixed(2.5),
                                [0.1, 0.5], [0.2, 0.3, 0.4], [0.0, 0.1])
