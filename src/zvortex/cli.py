@@ -116,15 +116,19 @@ def _count(params: dict, key: str, default: int, minimum: int,
     return value
 
 
-def _default_tolerance(fallback: float) -> float:
-    override = os.environ.get(TOLERANCE_ENV)
-    if not override:
-        return fallback
-    with contextlib.suppress(ValueError):
-        if math.isfinite(value := float(override)):
-            return value
-    raise click.UsageError(
-        f"{TOLERANCE_ENV} must be a finite number, got {override!r}")
+def _tolerance(params: dict, key: str, default: float, env: str = "") -> float:
+    """``params[key]`` (or the default), or the value of the environment
+    variable ``env`` when that is set and not empty: a finite number >= 0."""
+    value = _number(params, key, default)
+    if override := env and os.environ.get(env):
+        key, value = env, override
+        with contextlib.suppress(ValueError):
+            value = float(override)
+        if not _finite(value):
+            raise click.UsageError(f"{env} must be a finite number, got {override!r}")
+    if value < 0.0:
+        raise click.UsageError(f"{key} must be >= 0, got {value!r}")
+    return value
 
 
 class _Command(click.Command):
@@ -204,21 +208,22 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
     h2 = _number(params, "h_second", 1e-4)
     perturb = _number(params, "perturb", 0.0)
     u_f = _number(params, "u_f", 2.5)
-    cr_tol = _default_tolerance(_number(params, "cr_tolerance", 1e-8))
-    lap_tol = _number(params, "laplace_tolerance", 1e-6)
-    res_tol = _number(params, "residual_tolerance", 1e-10)
+    cr_tol = _tolerance(params, "cr_tolerance", 1e-8, TOLERANCE_ENV)
+    lap_tol = _tolerance(params, "laplace_tolerance", 1e-6)
+    res_tol = _tolerance(params, "residual_tolerance", 1e-10)
 
     checks = []
 
+    def check(name: str, worst: float, tol: float) -> None:
+        checks.append({"name": name, "max_residual": worst,
+                       "tolerance": tol, "pass": worst <= tol})
+
     z, x, y = np.meshgrid(z_values, x_values, y_values, indexing="ij")
     c = CParam(x, y)
-    cr_max = float(np.max(wc.check_cauchy_riemann(z, c, h1), initial=0.0))
-    lap_max = float(np.max(np.divide(wc.laplace_residual(z, c, h2), z ** x),
-                           initial=0.0))
-    checks.append({"name": "cauchy_riemann", "max_residual": cr_max,
-                   "tolerance": cr_tol, "pass": cr_max <= cr_tol})
-    checks.append({"name": "laplace", "max_residual": lap_max,
-                   "tolerance": lap_tol, "pass": lap_max <= lap_tol})
+    check("cauchy_riemann",
+          float(np.max(wc.check_cauchy_riemann(z, c, h1), initial=0.0)), cr_tol)
+    check("laplace", float(np.max(np.divide(wc.laplace_residual(z, c, h2), z ** x),
+                                  initial=0.0)), lap_tol)
 
     ct_max = 0.0
     cf_max = 0.0
@@ -233,10 +238,8 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
             exact = wc.eval_psi(z, a)
             cf_max = max(cf_max, abs(rec.as_complex() - exact.as_complex())
                          / abs(exact.as_complex()))
-    checks.append({"name": "contour_integral", "max_residual": ct_max,
-                   "tolerance": 1e-10, "pass": ct_max <= 1e-10})
-    checks.append({"name": "cauchy_formula", "max_residual": cf_max,
-                   "tolerance": 1e-8, "pass": cf_max <= 1e-8})
+    check("contour_integral", ct_max, 1e-10)
+    check("cauchy_formula", cf_max, 1e-8)
 
     c12 = CParam(1.0, 2.0)
     pot = sf.Potential.fixed(u_f)
@@ -254,10 +257,8 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
             field = sf.ZField(value=(lambda f: lambda rx, ry, t:
                                      f(rx, ry, t) + perturb * t)(field.value))
         report = sf.evaluate_grid(field, c12, phys, pot, r_grid, r_grid, t_grid)
-        worst = getattr(report, part)
-        tol = res_tol if field.derivatives is not None else 1e-5
-        checks.append({"name": name, "max_residual": worst,
-                       "tolerance": tol, "pass": worst <= tol})
+        check(name, getattr(report, part),
+              res_tol if field.derivatives is not None else 1e-5)
     return checks
 
 

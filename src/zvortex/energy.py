@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .schrodinger_field import PhysicalParams
-from .vortex import Branch, VortexSolution, k_from_potential
+from .vortex import Branch, VortexSolution, _require_potential, k_from_potential
 from .wavecore import DomainError, float_range
 
 
@@ -50,8 +50,7 @@ def unit_step(x: float) -> float:
 
 def energy_of_potential(u_f: float) -> float:
     """Total energy for a fixed potential: E = (12/5) U_f."""
-    if u_f < 0.0:
-        raise DomainError(f"potential must be non-negative, got {u_f}")
+    _require_potential(u_f)
     return 12.0 / 5.0 * u_f
 
 

@@ -67,16 +67,10 @@ class EnsembleConfig:
                 raise TypeError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
-        if self.pair_production_rate <= 0.0:
-            raise DomainError("production rate must be positive")
-        if self.ratio_zero_to_one < 0.0:
-            raise DomainError("production ratio must be non-negative")
-        if self.k <= 0.0 or self.s <= 0.0 or self.beta <= 0.0:
-            raise DomainError("k, s and beta must be positive")
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.horizon <= 0.0:
-            raise DomainError("horizon must be positive")
+            if name == "ratio_zero_to_one" and value < 0.0:
+                raise DomainError(f"{name} must be non-negative, got {value}")
+            if name not in ("ratio_zero_to_one", "epsilon") and value <= 0.0:
+                raise DomainError(f"{name} must be positive, got {value}")
         expected = self.pair_production_rate * self.horizon
         if expected > MAX_EXPECTED_EVENTS:
             raise DomainError(
@@ -88,7 +82,7 @@ class EnsembleConfig:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise DomainError(f"{name} must be >= 0, got {value}")
-        self.zero_lifetime  # raises DomainError when epsilon >= e^{-ks}
+        self.zero_lifetime  # raises DomainError unless 0 < epsilon < e^{-ks}
 
     @property
     def prob_zero(self) -> float:
@@ -152,35 +146,25 @@ def _arrival_times(rng: np.random.Generator, rate: float, horizon: float):
     least 1,024), up to and including the first batch that ends at or past
     the horizon. Each batch's arrival times are
     ``t_last + np.cumsum(rng.exponential(1 / rate, batch))``, bit for bit:
-    a batch is drawn in segments, and a segment's cumsum continues the one
-    before when the carry is added to its first gap. The times are yielded
-    in chunks of ``_CHUNK`` (the last one shorter), each a view of one
-    buffer that the next chunk overwrites.
+    a batch is drawn in chunks of at most ``_CHUNK`` gaps, and a chunk's
+    cumsum continues the one before when the carry is added to its first
+    gap. Each chunk is yielded as it is drawn; none spans two batches.
     """
     batch = max(int(rate * horizon * 0.1) + 64, 1024)
     scale = 1.0 / rate
-    buf = np.empty(_CHUNK)
-    pos, left, carry, t_last = 0, batch, 0.0, 0.0
-    while True:
-        seg = buf[pos:pos + min(left, _CHUNK - pos)]
-        # The same bits as rng.exponential(scale, seg.size).
-        rng.standard_exponential(out=seg)
-        seg *= scale
-        seg[0] += carry
-        np.cumsum(seg, out=seg)
-        carry = seg[-1]
-        seg += t_last
-        pos += seg.size
-        left -= seg.size
-        if not left:
-            t_last += carry
-            if t_last >= horizon:
-                yield buf[:pos]
-                return
-            left, carry = batch, 0.0
-        if pos == _CHUNK:
-            yield buf
-            pos = 0
+    t_last = 0.0
+    while t_last < horizon:
+        carry = 0.0
+        for start in range(0, batch, _CHUNK):
+            # The same bits as rng.exponential(scale, size).
+            chunk = rng.standard_exponential(min(_CHUNK, batch - start))
+            chunk *= scale
+            chunk[0] += carry
+            np.cumsum(chunk, out=chunk)
+            carry = chunk[-1]
+            chunk += t_last
+            yield chunk
+        t_last += carry
 
 
 def _merge_bits(t0: np.ndarray, t1: np.ndarray, arrival1: np.ndarray,
@@ -339,10 +323,8 @@ def simulate(config: EnsembleConfig, sink=None) -> SimulationResult:
                    final)
         if final:
             break
-    if sink is not None:
-        return SimulationResult(report=stream.report())
-    return SimulationResult(report=stream.report(),
-                            bit_stream=out.getvalue().decode("ascii"))
+    bits = "" if sink is not None else out.getvalue().decode("ascii")
+    return SimulationResult(report=stream.report(), bit_stream=bits)
 
 
 def _branch_rates(config: EnsembleConfig) -> tuple[float, float]:

@@ -13,7 +13,7 @@ vanishes.
 
 Everything works elementwise on numpy arrays. A ``ZField`` callable takes
 r_x, r_y and t as scalars or as arrays of one broadcast shape and returns
-z (or its partials) elementwise; a scalar result stands for a constant.
+z (or z with its partials) elementwise; a scalar result stands for a constant.
 ``ZField.partials`` and ``complex_residual`` take a point whose
 coordinates are scalars or such arrays. ``evaluate_grid`` takes the
 partials once for a whole lattice, and ``GridReport`` holds its axes and
@@ -62,7 +62,7 @@ class ZField:
     """Positive scalar field z(r_x, r_y, t) with optional analytic partials.
 
     ``value(r_x, r_y, t)`` returns z and ``derivatives(r_x, r_y, t)``, when
-    given, returns (z_t, z_x, z_y, z_xx, z_yy); both work elementwise on
+    given, returns (z, z_t, z_x, z_y, z_xx, z_yy); both work elementwise on
     numpy arrays. Without ``derivatives`` the partials are central finite
     differences of ``value`` (second order, steps STEP_FIRST/STEP_SECOND).
     """
@@ -80,10 +80,12 @@ class ZField:
         taken at every point of their broadcast shape at once.
         """
         rx, ry, t = point
+        if self.derivatives is not None:
+            parts = self.derivatives(rx, ry, t)
+            _require_positive(parts[0], "field value", point)
+            return parts
         z = self.value(rx, ry, t)
         _require_positive(z, "field value", point)
-        if self.derivatives is not None:
-            return (z, *self.derivatives(rx, ry, t))
         f, h1, h2 = self.value, STEP_FIRST, STEP_SECOND
         return (z,
                 (f(rx, ry, t + h1) - f(rx, ry, t - h1)) / (2.0 * h1),
@@ -96,7 +98,7 @@ class ZField:
 def constant_field(z0: float = 1.0) -> ZField:
     """z = z0 everywhere; the callables return scalars, which broadcast."""
     return ZField(value=lambda rx, ry, t: z0,
-                  derivatives=lambda rx, ry, t: (0.0,) * 5)
+                  derivatives=lambda rx, ry, t: (z0,) + (0.0,) * 5)
 
 
 def exponential_field(a_x: float, a_y: float, a_t: float, scale: float = 1.0) -> ZField:
@@ -105,7 +107,7 @@ def exponential_field(a_x: float, a_y: float, a_t: float, scale: float = 1.0) ->
 
     def derivatives(rx, ry, t):
         z = val(rx, ry, t)
-        return a_t * z, a_x * z, a_y * z, a_x * a_x * z, a_y * a_y * z
+        return z, a_t * z, a_x * z, a_y * z, a_x * a_x * z, a_y * a_y * z
 
     return ZField(value=val, derivatives=derivatives)
 

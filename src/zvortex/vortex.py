@@ -46,10 +46,14 @@ class Branch(Enum):
         return Branch.ZERO_VORTEX if self is Branch.ONE_VORTEX else Branch.ONE_VORTEX
 
 
+def _require_potential(u_f: float) -> None:
+    if not u_f >= 0.0:  # also rejects NaN
+        raise DomainError(f"potential must be non-negative, got {u_f}")
+
+
 def k_from_potential(u_f: float, params: PhysicalParams) -> float:
     """k = sqrt(2 m U_f / (5 hbar^2))."""
-    if u_f < 0.0:
-        raise DomainError(f"potential must be non-negative, got {u_f}")
+    _require_potential(u_f)
     # In numpy, so that past the float range it raises under float_range.
     return math.sqrt(np.float64(2.0) * params.mass * u_f / (5.0 * params.hbar ** 2))
 
@@ -221,8 +225,7 @@ def normalization_constant(sol: VortexSolution) -> float:
 def vortex_ratio(k: float, s: float) -> float:
     """Predicted 0-vortex to 1-vortex ratio e^{4ks} - e^{2ks} = (A0/A1)^2."""
     ks = np.float64(k) * s
-    if ks <= 0.0:
-        raise DomainError("k*s must be positive")
+    _require_positive(ks, "k*s")
     return math.exp(4.0 * ks) - math.exp(2.0 * ks)
 
 
@@ -245,8 +248,7 @@ def gradient_map_segment(branch: Branch, k: float, z) -> Point3:
     1-vortex: (kz, kz, z) for z >= 1; 0-vortex: (-kz, -kz, z) for z <= 1.
     Both meet the plane z = 1 at the boundary points (+/-k, +/-k, 1).
     """
-    if k <= 0.0:
-        raise DomainError(f"k must be positive, got {k}")
+    _require_positive(k, "k")
     z = np.asarray(z, dtype=float)
     _check_branch_z(branch, z)
     g = branch.sign * k * z

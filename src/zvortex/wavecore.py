@@ -188,8 +188,7 @@ def laplace_residual(z0, c0: CParam, h: float = STEP_SECOND) -> tuple:
 def _contour_nodes(center: CParam, radius: float, n_points: int):
     """Nodes c_j = center + radius e^{i theta_j} of the n-point trapezoid
     rule on a circle, and the weights i (c_j - center) dtheta of dc."""
-    if radius <= 0.0:
-        raise DomainError(f"radius must be positive, got {radius}")
+    _require_positive(radius, "radius")
     dtheta = 2.0 * math.pi / n_points
     offset = radius * np.exp(1j * (np.arange(n_points) * dtheta))
     return center.x + offset.real, center.y + offset.imag, 1j * offset * dtheta

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -383,6 +384,10 @@ class TestBadInput:
         *(pytest.param("verify", {}, [], {"ZVORTEX_TOLERANCE": text}, 2,
                        id=f"verify-tolerance-env-{text}")
           for text in ("nan", "inf", "-inf")),
+        pytest.param("verify", {}, [], {"ZVORTEX_TOLERANCE": "-1"}, 2,
+                     id="verify-tolerance-env-negative"),
+        *(pytest.param("verify", {key: -1}, [], None, 2, id=f"verify-{key}-negative")
+          for key in ("cr_tolerance", "laplace_tolerance", "residual_tolerance")),
         *(pytest.param("verify", {"grid": {axis: []}}, [], None, 2,
                        id=f"verify-grid-{axis}-empty") for axis in "zxy"),
         pytest.param("ensemble", {**ENSEMBLE, "k": True}, [], None, 2,
@@ -442,6 +447,35 @@ class TestBadInput:
         assert "Traceback" not in output and "Warning" not in output
         assert any(line.lower().startswith("error:")
                    for line in proc.stderr.splitlines()), output
+
+
+class TestTolerance:
+    """A tolerance is a finite number >= 0; zero is a valid tolerance."""
+
+    @pytest.mark.parametrize("key", ["cr_tolerance", "laplace_tolerance",
+                                     "residual_tolerance"])
+    def test_zero_accepted_and_negative_rejected(self, key):
+        assert cli_mod._tolerance({key: 0}, key, 1.0) == 0
+        with pytest.raises(click.UsageError, match=f"{key} must be >= 0"):
+            cli_mod._tolerance({key: -1e-300}, key, 1.0)
+
+    def test_zero_tolerance_is_a_failed_check(self, runner, tmp_path):
+        # A residual above a zero tolerance fails the check (exit 1); the
+        # input is not a usage error.
+        path = write_params(tmp_path, {"cr_tolerance": 0})
+        result = runner.invoke(cli, ["verify", "--params", path])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[1].endswith(",0,false")
+
+    def test_environment_overrides(self, monkeypatch):
+        env = cli_mod.TOLERANCE_ENV
+        monkeypatch.setenv(env, "0")
+        assert cli_mod._tolerance({}, "cr_tolerance", 1e-8, env) == 0.0
+        monkeypatch.setenv(env, "-1")
+        with pytest.raises(click.UsageError, match=f"{env} must be >= 0"):
+            cli_mod._tolerance({}, "cr_tolerance", 1e-8, env)
+        # Only the check the variable is named for reads it.
+        assert cli_mod._tolerance({}, "laplace_tolerance", 1e-6) == 1e-6
 
 
 class TestSizeLimits:

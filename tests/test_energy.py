@@ -63,6 +63,12 @@ class TestEnergyRelation:
         assert energy_of_potential(5.0) == pytest.approx(12.0)
 
 
+    @pytest.mark.parametrize("u_f", [-1.0, -1e-300, math.nan])
+    def test_negative_potential_rejected(self, u_f):
+        with pytest.raises(DomainError, match="potential must be non-negative"):
+            energy_of_potential(u_f)
+
+
 class TestLevelIndex:
     def test_examples(self):
         lad = EnergyLadder((1.0, 3.0, 7.0))

@@ -103,6 +103,19 @@ class TestConfig:
         with pytest.raises(DomainError, match=name):
             make_config(**{name: value})
 
+    @pytest.mark.parametrize("name,value", [
+        *((name, value) for name in ("pair_production_rate", "k", "s", "beta",
+                                     "horizon", "epsilon")
+          for value in (0.0, -0.0, -1e-300, -2.5)),
+        ("ratio_zero_to_one", -1e-300), ("ratio_zero_to_one", -2.5),
+        ("epsilon", 1.0), ("epsilon", 3.0)])
+    def test_out_of_range_names_the_field(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must"):
+            make_config(**{name: value})
+
+    def test_zero_ratio_accepted(self):
+        assert make_config(ratio_zero_to_one=0.0).prob_zero == 0.0
+
     @pytest.mark.parametrize("name", ["seed", "digest_bits"])
     def test_negative_count_rejected(self, name):
         with pytest.raises(DomainError, match=name):
@@ -317,6 +330,11 @@ class TestEngineEdges:
         rng.standard_exponential(out=b)
         b *= scale
         assert b.tobytes() == ref.exponential(scale, 100_000).tobytes()
+        # Drawn in unequal blocks without out=, as _arrival_times draws a
+        # batch, the gaps are those of one exponential call.
+        blocks = [rng.standard_exponential(n) for n in (65_536, 1, 33_463)]
+        want = ref.exponential(scale, 99_000)
+        assert (np.concatenate(blocks) * scale).tobytes() == want.tobytes()
         # The uniforms that follow, drawn in blocks, are the same too.
         u = np.empty(70_000)
         rng.random(out=u[:65_536])

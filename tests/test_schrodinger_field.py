@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zvortex import (
+    Branch,
     CParam,
     DomainError,
     PhysicalParams,
     Potential,
+    VortexSolution,
     ZField,
     complex_residual,
     constant_field,
@@ -20,6 +22,7 @@ from zvortex import (
     imag_residual,
     psi_partials,
     real_residual,
+    real_solution,
     sum_field,
 )
 
@@ -321,6 +324,51 @@ def make_field(kind, a, b):
     if kind.startswith("sum"):
         fld = sum_field(fld, exponential_field(*b))
     return ZField(value=fld.value) if kind.endswith("finite_difference") else fld
+
+
+class TestAnalyticPartials:
+    """An analytic field's partials are one derivatives call, which also
+    gives z."""
+
+    FIELDS = {
+        "exponential": lambda: exponential_field(0.7, -0.4, 0.5, 1.3),
+        "one_vortex": lambda: VortexSolution(Branch.ONE_VORTEX, k=1.2).to_field(),
+        "real_solution": lambda: real_solution(2.5, NAT),
+        "constant": lambda: constant_field(2.0),
+        "sum": lambda: sum_field(exponential_field(0.7, -0.4, 0.5),
+                                 constant_field(1.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_one_derivatives_call_and_no_value_call(self, name):
+        base = self.FIELDS[name]()
+        calls = []
+
+        def counting(kind, f):
+            def wrapped(*args):
+                calls.append(kind)
+                return f(*args)
+            return wrapped
+
+        fld = ZField(value=counting("value", base.value),
+                     derivatives=counting("derivatives", base.derivatives))
+        point = (np.array([0.1, 0.5]), np.array([0.2, 0.3]), np.array([0.0, 0.4]))
+        parts = fld.partials(point)
+        assert calls == ["derivatives"]
+        assert len(parts) == 6
+        assert np.array_equal(*np.broadcast_arrays(parts[0], base.value(*point)))
+
+    def test_one_exponential_per_point(self, monkeypatch):
+        fld = exponential_field(0.7, -0.4, 0.5)
+        exp, calls = np.exp, []
+
+        def counting(x, *args, **kw):
+            calls.append(np.size(x))
+            return exp(x, *args, **kw)
+
+        monkeypatch.setattr(np, "exp", counting)
+        fld.partials((np.linspace(0.0, 1.0, 5), 0.3, 0.2))
+        assert calls == [5]
 
 
 class TestGridReport:

@@ -57,6 +57,11 @@ class TestKFromPotential:
         with pytest.raises(DomainError):
             k_from_potential(-1.0, NAT)
 
+    @pytest.mark.parametrize("u_f", [-1e-300, math.nan])
+    def test_negative_or_nan_potential_rejected(self, u_f):
+        with pytest.raises(DomainError, match="potential must be non-negative"):
+            k_from_potential(u_f, NAT)
+
 
 class TestSolutions:
     def test_real_solution_zero_potential_is_unity(self):
@@ -213,6 +218,12 @@ class TestNormalization:
         a1 = normalization_constant(VortexSolution(Branch.ONE_VORTEX, k, s, 1.0))
         assert (a0 / a1) ** 2 == pytest.approx(vortex_ratio(k, s), rel=1e-9)
 
+    @pytest.mark.parametrize("k,s", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0),
+                                     (1.0, math.nan)])
+    def test_ratio_rejects_bad_ks(self, k, s):
+        with pytest.raises(DomainError, match=r"k\*s must be positive"):
+            vortex_ratio(k, s)
+
     def test_ratio_values(self):
         assert vortex_ratio(1.0, 1.0) == pytest.approx(47.2090939342, rel=1e-10)
         assert vortex_ratio(0.5, 1.0) == pytest.approx(4.67077427047, rel=1e-10)
@@ -290,6 +301,11 @@ class TestGeometry:
     def test_zero_branch_tends_to_origin(self):
         p = gradient_map_segment(Branch.ZERO_VORTEX, 1.0, 1e-9)
         assert max(abs(v) for v in p) < 1e-8
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
+    def test_bad_k_rejected(self, k):
+        with pytest.raises(DomainError, match="k must be positive"):
+            gradient_map_segment(Branch.ONE_VORTEX, k, [1.0, 2.0])
 
     def test_branch_domains_enforced(self):
         with pytest.raises(DomainError):

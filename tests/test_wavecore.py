@@ -325,6 +325,13 @@ class TestContour:
         max_psi = 0.7 ** -2.0
         assert res.value.magnitude() < 1e-10 * max_psi
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(DomainError, match="radius must be positive"):
+            contour_integral(2.0, CParam(0.0, 0.0), radius, 64)
+        with pytest.raises(DomainError, match="radius must be positive"):
+            cauchy_formula(2.0, CParam(0.0, 0.0), CParam(0.0, 0.0), radius, 64)
+
     def test_accuracy_warning_for_coarse_contour(self):
         assert contour_integral(2.0, CParam(0.0, 0.0), 1.0, 32).accuracy_warning
 
