@@ -204,8 +204,8 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
         raise click.UsageError("grid z, x and y must each hold a value")
     if any(z <= 0.0 for z in z_values):
         raise click.UsageError("grid z values must be positive")
-    h1 = _number(params, "h_first", 1e-5)
-    h2 = _number(params, "h_second", 1e-4)
+    h1 = _number(params, "h_first", wc.STEP_FIRST)
+    h2 = _number(params, "h_second", wc.STEP_SECOND)
     perturb = _number(params, "perturb", 0.0)
     u_f = _number(params, "u_f", 2.5)
     cr_tol = _tolerance(params, "cr_tolerance", 1e-8, TOLERANCE_ENV)
@@ -230,19 +230,18 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
     for z in (0.7, 1.3, 2.0):
         for cx, cy, radius in ((1.0, 2.0, 1.0), (0.0, 0.0, 1.5)):
             center = CParam(cx, cy)
-            res = wc.contour_integral(z, center, radius, 1024)
+            res = wc.contour_integral(z, center, radius)
             max_psi = max(abs(z ** (cx + radius)), abs(z ** (cx - radius)))
             ct_max = max(ct_max, res.value.magnitude() / max_psi)
             a = CParam(cx + 0.3 * radius, cy - 0.2 * radius)
-            rec = wc.cauchy_formula(z, a, center, radius, 2048)
+            rec = wc.cauchy_formula(z, a, center, radius)
             exact = wc.eval_psi(z, a)
             cf_max = max(cf_max, abs(rec.as_complex() - exact.as_complex())
                          / abs(exact.as_complex()))
     check("contour_integral", ct_max, 1e-10)
     check("cauchy_formula", cf_max, 1e-8)
 
-    c12 = CParam(1.0, 2.0)
-    pot = sf.Potential.fixed(u_f)
+    c12 = CParam(vx.C_X, vx.C_Y)
     r_grid = [0.2, 0.6, 1.0]
     t_grid = [0.0, 0.1, 0.3]
     fields = {
@@ -254,9 +253,8 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
     }
     for name, (field, part) in fields.items():
         if perturb:
-            field = sf.ZField(value=(lambda f: lambda rx, ry, t:
-                                     f(rx, ry, t) + perturb * t)(field.value))
-        report = sf.evaluate_grid(field, c12, phys, pot, r_grid, r_grid, t_grid)
+            field = sf.sum_field(field, sf.ZField(value=lambda rx, ry, t: perturb * t))
+        report = sf.evaluate_grid(field, c12, phys, u_f, r_grid, r_grid, t_grid)
         check(name, getattr(report, part),
               res_tol if field.derivatives is not None else 1e-5)
     return checks
@@ -367,16 +365,15 @@ def cmd_ensemble(params_path, out_path, fmt, seed, bits_out):
         # Runs once _emit has opened --out. The bits are written as they
         # are merged; without --bits-out they are discarded.
         with _open_output(bits_out or os.devnull, "wb") as bits:
-            rep = ensemble_mod.simulate(config, bits).report.to_dict()
+            rep = ensemble_mod.simulate(config, bits).report
             bits.write(b"\n")
         if fmt == "json":
-            # JSON has no Infinity: the ratio of a run without 1-bits is null.
-            yield json.dumps({k: None if v == math.inf else v
-                              for k, v in rep.items()}, sort_keys=True) + "\n"
+            yield rep.to_json() + "\n"
         else:
-            keys = sorted(rep)
+            row = rep.to_dict()
+            keys = sorted(row)
             yield ",".join(keys) + "\n" + ",".join(
-                _fmt(rep[k]) if isinstance(rep[k], float) else str(rep[k])
+                _fmt(row[k]) if isinstance(row[k], float) else str(row[k])
                 for k in keys) + "\n"
 
     _emit(out_path, report())

@@ -36,7 +36,7 @@ import numpy as np
 
 from .vortex import (Branch, VortexSolution, collapse_time,
                      zero_vortex_lifetime)
-from .wavecore import DomainError
+from .wavecore import DomainError, _require_positive
 
 # The largest expected number of productions, pair_production_rate * horizon,
 # that a run accepts. It bounds run time, about 50 ns per event on a 2-CPU
@@ -63,14 +63,14 @@ class EnsembleConfig:
         for name in ("pair_production_rate", "ratio_zero_to_one", "k", "s",
                      "beta", "horizon", "epsilon"):
             value = getattr(self, name)
-            if isinstance(value, bool):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            if name not in ("ratio_zero_to_one", "epsilon"):
+                _require_positive(value, name)
+            elif not math.isfinite(value):  # zero_lifetime checks epsilon's range
                 raise DomainError(f"{name} must be finite, got {value}")
-            if name == "ratio_zero_to_one" and value < 0.0:
+            elif name == "ratio_zero_to_one" and value < 0.0:
                 raise DomainError(f"{name} must be non-negative, got {value}")
-            if name not in ("ratio_zero_to_one", "epsilon") and value <= 0.0:
-                raise DomainError(f"{name} must be positive, got {value}")
         expected = self.pair_production_rate * self.horizon
         if expected > MAX_EXPECTED_EVENTS:
             raise DomainError(
@@ -124,7 +124,10 @@ class EnsembleReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """JSON has no Infinity: the ratio of a run without 1-bits is null."""
+        ratio = self.empirical_ratio
+        return json.dumps({**self.to_dict(), "empirical_ratio": (
+            ratio if math.isfinite(ratio) else None)}, sort_keys=True)
 
 
 @dataclass(frozen=True)

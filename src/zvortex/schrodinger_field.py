@@ -22,7 +22,6 @@ residuals as numpy arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
@@ -45,9 +44,8 @@ class PhysicalParams:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.hbar < math.inf and 0.0 < self.mass < math.inf):
-            raise DomainError(f"hbar and mass must be positive and finite, "
-                              f"got hbar={self.hbar}, mass={self.mass}")
+        _require_positive(self.hbar, "hbar")
+        _require_positive(self.mass, "mass")
 
     @property
     def beta(self) -> float:
@@ -122,18 +120,12 @@ def sum_field(a: ZField, b: ZField) -> ZField:
                                   b.derivatives(rx, ry, t))))
 
 
-@dataclass(frozen=True)
 class Potential:
-    """Potential energy term; only constant-in-space potentials are built in."""
+    """The residuals take the constant potential U_f as the float ``u_f``;
+    ``Potential.fixed(u_f)``, which is ``float(u_f)``, is kept only because
+    the benchmark workloads, their self-test and baselines still call it."""
 
-    value_fixed: float
-
-    @classmethod
-    def fixed(cls, u_f: float) -> "Potential":
-        return cls(value_fixed=u_f)
-
-    def at(self, rx: float, ry: float) -> float:
-        return self.value_fixed
+    fixed = staticmethod(float)
 
 
 def psi_partials(field: ZField, c: CParam, point: Point
@@ -159,47 +151,46 @@ def psi_partials(field: ZField, c: CParam, point: Point
 
 
 def complex_residual(field: ZField, c: CParam, params: PhysicalParams,
-                     potential: Potential, point: Point):
+                     u_f: float, point: Point):
     """Complex Schrodinger residual in z at a point, or elementwise at the
     points of array coordinates.
 
-    The potential multiplier z/c is evaluated as z c* / (x^2 + y^2) to keep
-    the real/imaginary split explicit. Each part is computed in real
-    arithmetic, so (R) is exactly the written-out real equation.
+    ``u_f`` is the constant potential U_f. Its multiplier z/c is evaluated
+    as z c* / (x^2 + y^2) to keep the real/imaginary split explicit. Each
+    part is computed in real arithmetic, so (R) is exactly the written-out
+    real equation.
     """
     mod2 = c.modulus_sq()
     if mod2 == 0.0:
         raise DomainError("c must be nonzero")
-    rx, ry, _ = point
     z, zt, zx, zy, zxx, zyy = field.partials(point)
     kin = params.hbar ** 2 / (2.0 * np.float64(params.mass))
     grad2 = zx * zx + zy * zy
-    u = potential.at(rx, ry)
-    re = kin * (zxx + zyy + (c.x - 1.0) / z * grad2) - z * c.x / mod2 * u
-    im = params.hbar * zt + kin * c.y / z * grad2 + z * c.y / mod2 * u
+    re = kin * (zxx + zyy + (c.x - 1.0) / z * grad2) - z * c.x / mod2 * u_f
+    im = params.hbar * zt + kin * c.y / z * grad2 + z * c.y / mod2 * u_f
     res = np.empty(np.broadcast(re, im).shape, complex)
     res.real, res.imag = re, im
     return res if res.ndim else complex(res)
 
 
 def real_residual(field: ZField, c: CParam, params: PhysicalParams,
-                  potential: Potential, point: Point, scaled: bool = False) -> float:
+                  u_f: float, point: Point, scaled: bool = False) -> float:
     """Real part (R) of the complex residual.
 
     With ``scaled`` the residual is multiplied by 2m/hbar^2, the
     presentation used for the x=1, y=2 specialization.
     """
-    r = complex_residual(field, c, params, potential, point).real
+    r = complex_residual(field, c, params, u_f, point).real
     return r * (2.0 * params.mass / params.hbar ** 2) if scaled else r
 
 
 def imag_residual(field: ZField, c: CParam, params: PhysicalParams,
-                  potential: Potential, point: Point, scaled: bool = False) -> float:
+                  u_f: float, point: Point, scaled: bool = False) -> float:
     """Imaginary part (I) of the complex residual.
 
     With ``scaled`` the residual is multiplied by m/hbar^2.
     """
-    r = complex_residual(field, c, params, potential, point).imag
+    r = complex_residual(field, c, params, u_f, point).imag
     return r * (params.mass / params.hbar ** 2) if scaled else r
 
 
@@ -241,8 +232,7 @@ class GridReport:
                                    [*columns, self.residual_real, self.residual_imag]))
 
 
-def evaluate_grid(field_: ZField, c: CParam, params: PhysicalParams,
-                  potential: Potential,
+def evaluate_grid(field_: ZField, c: CParam, params: PhysicalParams, u_f: float,
                   rx_values: Sequence[float], ry_values: Sequence[float],
                   t_values: Sequence[float]) -> GridReport:
     """Evaluate the complex residual on the product grid and aggregate its
@@ -254,7 +244,7 @@ def evaluate_grid(field_: ZField, c: CParam, params: PhysicalParams,
     axes = tuple(np.array(v, dtype=float).ravel()
                  for v in (rx_values, ry_values, t_values))
     lattice = tuple(a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
-    res = complex_residual(field_, c, params, potential, lattice)
+    res = complex_residual(field_, c, params, u_f, lattice)
     res = np.broadcast_to(res, lattice[0].shape)
     return GridReport(axes=axes, residual_real=np.ascontiguousarray(res.real),
                       residual_imag=np.ascontiguousarray(res.imag))

@@ -72,10 +72,8 @@ class VortexSolution:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.k < math.inf:
-            raise DomainError(f"k must be positive and finite, got {self.k}")
-        if not 0.0 < self.beta < math.inf:
-            raise DomainError(f"beta must be positive and finite, got {self.beta}")
+        _require_positive(self.k, "k")
+        _require_positive(self.beta, "beta")
         if not math.isfinite(self.s):
             raise DomainError(f"s must be finite, got {self.s}")
         if self.s == 0.0:

@@ -97,14 +97,15 @@ def float_range(what: str):
 
 
 def _require_positive(z, what: str = "z", at: tuple = ()) -> None:
-    """Reject any z that is not positive (NaN included), naming the first;
-    given the coordinates ``at`` that z was taken at, also its point."""
-    bad = ~(np.asarray(z) > 0.0)
+    """The one positive-and-finite rule: reject any z that is <= 0, NaN or
+    inf, naming the first, and its point when given the coordinates ``at``."""
+    za = np.asarray(z, dtype=float)
+    bad = ~(np.isfinite(za) & (za > 0.0))
     if bad.any():
         zb, *coords = np.broadcast_arrays(z, *at)
         i = np.flatnonzero(np.broadcast_to(bad, zb.shape))[0]
         where = f" at {tuple(float(c.flat[i]) for c in coords)}" if at else ""
-        raise DomainError(f"{what} must be positive, got {zb.flat[i]}{where}")
+        raise DomainError(f"{what} must be positive and finite, got {zb.flat[i]}{where}")
 
 
 def psi_values(z, x, y):

@@ -235,7 +235,7 @@ class TestEnsemble:
         proc = run_cli_process("ensemble", "--params", params)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stdout + proc.stderr
-        assert proc.stderr.startswith("error: horizon must be finite")
+        assert proc.stderr.startswith("error: horizon must be positive and finite")
 
     @pytest.mark.parametrize("key,value", [("pair_production_rate", math.inf),
                                            ("k", math.nan)])
@@ -447,6 +447,14 @@ class TestBadInput:
         assert "Traceback" not in output and "Warning" not in output
         assert any(line.lower().startswith("error:")
                    for line in proc.stderr.splitlines()), output
+
+    @pytest.mark.parametrize("value", ["1", None])
+    def test_ensemble_non_number_names_the_field(self, runner, tmp_path, value):
+        params = write_params(tmp_path, {**ENSEMBLE, "pair_production_rate": value})
+        result = runner.invoke(cli, ["ensemble", "--params", params])
+        assert result.exit_code == 2
+        assert (f"bad ensemble config: pair_production_rate must be a number, "
+                f"got {value!r}") in result.output
 
 
 class TestTolerance:

@@ -144,6 +144,11 @@ class TestConfig:
         with pytest.raises(TypeError, match=name):
             make_config(**{name: True})
 
+    @pytest.mark.parametrize("value", ["1", None, [1.0]])
+    def test_non_number_names_the_field(self, value):
+        with pytest.raises(TypeError, match="^horizon must be a number, got "):
+            make_config(horizon=value)
+
     def test_lifetimes_match_vortex_closed_forms(self):
         for k, s, beta, eps in [(1.0, 1.0, 1.0, 1e-6), (0.4, 2.5, 0.7, 1e-3),
                                 (1.7, 0.3, 2.2, 0.5)]:
@@ -201,6 +206,18 @@ class TestSimulate:
         result = simulate(make_config(ratio_zero_to_one=0.0))
         assert set(result.bit_stream) <= {"1"}
         assert result.report.emitted_zero == 0
+
+    def test_report_json_without_one_bits_is_json(self):
+        # Shorter than both lifetimes: no bit at all, so the ratio is inf,
+        # which the JSON report writes as null, not as Infinity.
+        rep = simulate(make_config(horizon=0.25)).report
+        assert rep.emitted_one == 0 and rep.empirical_ratio == math.inf
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(rep.to_json(), parse_constant=reject)
+        assert doc == {**rep.to_dict(), "empirical_ratio": None}
 
     def test_digest_prefix(self):
         result = simulate(make_config(digest_bits=16))
@@ -557,6 +574,27 @@ class TestEqualization:
     def test_short_horizon_warns(self):
         report = equalization_check(make_config(horizon=5.0))
         assert report.stationarity_warning
+
+    def test_horizon_shorter_than_the_zero_lifetime(self):
+        # No 0-vortex lives out its 4.27 lifetime by t = 2: no 0-bit is
+        # expected or emitted, and the emission-rate ratio is undefined.
+        cfg = make_config(horizon=2.0)
+        assert cfg.one_lifetime < cfg.horizon < cfg.zero_lifetime
+        report = equalization_check(cfg)
+        assert report.report.emitted_zero == 0 and report.report.emitted_one > 0
+        assert math.isnan(report.emission_rate_ratio)
+        assert report.within_three_sigma
+
+    def test_horizon_shorter_than_the_one_lifetime(self):
+        # s = 10: a 1-vortex lives 10/3, a 0-vortex 1.27, so by t = 2 only
+        # 0-bits are emitted and the emission-rate ratio is infinite.
+        cfg = make_config(s=10.0, horizon=2.0)
+        assert cfg.zero_lifetime < cfg.horizon < cfg.one_lifetime
+        report = equalization_check(cfg)
+        assert report.report.emitted_one == 0 and report.report.emitted_zero > 0
+        assert report.report == simulate(cfg).report
+        assert report.emission_rate_ratio == math.inf
+        assert report.within_three_sigma
 
     def test_serializable(self):
         report = equalization_check(make_config())

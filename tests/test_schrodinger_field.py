@@ -52,30 +52,28 @@ def fd_psi_partials(field, c, point, h1=1e-6, h2=1e-4):
 # them before they became the real and imaginary parts of complex_residual.
 # Kept verbatim as an oracle.
 def written_out_real_residual(field: ZField, c: CParam, params: PhysicalParams,
-                              potential: Potential, point, scaled: bool = False) -> float:
+                              u_f: float, point, scaled: bool = False) -> float:
     mod2 = c.modulus_sq()
     if mod2 == 0.0:
         raise DomainError("c must be nonzero")
-    rx, ry, _ = point
     z, _, zx, zy, zxx, zyy = field.partials(point)
     r = (params.hbar ** 2 / (2.0 * params.mass)) * (
         zxx + zyy + (c.x - 1.0) / z * (zx * zx + zy * zy)
-    ) - z * c.x / mod2 * potential.at(rx, ry)
+    ) - z * c.x / mod2 * u_f
     if scaled:
         r *= 2.0 * params.mass / params.hbar ** 2
     return r
 
 
 def written_out_imag_residual(field: ZField, c: CParam, params: PhysicalParams,
-                              potential: Potential, point, scaled: bool = False) -> float:
+                              u_f: float, point, scaled: bool = False) -> float:
     mod2 = c.modulus_sq()
     if mod2 == 0.0:
         raise DomainError("c must be nonzero")
-    rx, ry, _ = point
     z, zt, zx, zy, _, _ = field.partials(point)
     r = (params.hbar * zt
          + (params.hbar ** 2 / (2.0 * params.mass)) * c.y / z * (zx * zx + zy * zy)
-         + z * c.y / mod2 * potential.at(rx, ry))
+         + z * c.y / mod2 * u_f)
     if scaled:
         r *= params.mass / params.hbar ** 2
     return r
@@ -101,6 +99,13 @@ class TestPhysicalParams:
     def test_rejects_non_positive_and_non_finite(self, kw):
         with pytest.raises(DomainError, match="positive and finite"):
             PhysicalParams(**kw)
+
+    @pytest.mark.parametrize("name,other", [("hbar", "mass"), ("mass", "hbar")])
+    def test_names_only_the_bad_value(self, name, other):
+        with pytest.raises(DomainError) as info:
+            PhysicalParams(**{name: 0})
+        assert str(info.value) == f"{name} must be positive and finite, got 0"
+        assert other not in str(info.value)
 
 
 class TestPsiPartials:
@@ -227,6 +232,20 @@ class TestResiduals:
             scaled_pot = Potential.fixed(2.5 * factor)
             r = imag_residual(field, C12, params, scaled_pot, (0.5, 0.5, 0.1))
             assert abs(r) < 1e-9
+
+    def test_sum_with_a_value_only_field_uses_finite_differences(self):
+        # One summand has no analytic partials, so the sum has none either:
+        # its residual is the finite-difference residual of the summed value.
+        analytic = one_vortex_field(k=1.0)
+        bump = lambda rx, ry, t: 0.1 * rx * ry + 0.2 * t
+        total = sum_field(analytic, ZField(value=bump))
+        assert total.derivatives is None
+        summed = ZField(value=lambda rx, ry, t: analytic.value(rx, ry, t)
+                        + bump(rx, ry, t))
+        for p in [(0.5, 0.5, 0.1), (0.2, -0.3, 0.4)]:
+            got = complex_residual(total, C12, NAT, 2.5, p)
+            assert got == complex_residual(summed, C12, NAT, 2.5, p)
+            assert abs(got.imag) > 1e-3  # the bump is not a solution
 
     def test_z_level_equations_are_nonlinear(self):
         # two individual (I) solutions whose sum is not a solution
@@ -435,6 +454,16 @@ class TestGridReport:
                           + abs(hbar ** 2 / (2 * mass) * cy / z * (zx * zx + zy * zy))
                           + abs(z * cy / c.modulus_sq() * u_f))
             assert abs(i - want.imag) <= 1e-13 * term_scale
+
+    def test_potential_is_a_float(self):
+        # Potential.fixed(u_f) is float(u_f): the same residuals either way.
+        grid = [0.1, 0.5, 1.0]
+        args = (one_vortex_field(k=1.0), C12, PhysicalParams(1.3, 0.7))
+        plain = evaluate_grid(*args, 2.5, grid, grid, grid)
+        fixed = evaluate_grid(*args, Potential.fixed(2.5), grid, grid, grid)
+        assert Potential.fixed(2.5) == 2.5
+        assert np.array_equal(plain.residual_real, fixed.residual_real)
+        assert np.array_equal(plain.residual_imag, fixed.residual_imag)
 
     def test_solution_grid_is_clean(self):
         field = one_vortex_field(k=1.0)

@@ -359,7 +359,7 @@ class TestGeometryArrays:
             vx.gradient_map_segment(Branch.ONE_VORTEX, 1.0, z)
         with pytest.raises(DomainError, match="0-vortex"):
             vx.squared_map(Branch.ZERO_VORTEX, 1.0, z)
-        with pytest.raises(DomainError, match="z must be positive, got -0.5"):
+        with pytest.raises(DomainError, match="z must be positive and finite, got -0.5"):
             vx.squared_map(Branch.ZERO_VORTEX, 1.0, np.array([0.5, -0.5]))
         with pytest.raises(DomainError, match="z > 1"):
             vx.segment_involution((z, z, z), 1.0)

@@ -21,7 +21,8 @@ from zvortex import (
     partials_uv,
     psi_values,
 )
-from zvortex.wavecore import ContourResult, MIN_CONTOUR_POINTS, WaveValue, float_range
+from zvortex.wavecore import (ContourResult, MIN_CONTOUR_POINTS, WaveValue,
+                              _require_positive, float_range)
 
 E = math.e
 
@@ -380,6 +381,26 @@ class TestNormalizability:
     def test_rejects_nonpositive_z(self):
         with pytest.raises(DomainError):
             normalizability(-1.0, 1.0)
+
+
+class TestRequirePositive:
+    # -10**30 is an int beyond int64, which is taken as a float.
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0,
+                                     -10 ** 30])
+    def test_rejects_what_is_not_positive_and_finite(self, bad):
+        with pytest.raises(DomainError,
+                           match=f"^radius must be positive and finite, got {bad}$"):
+            _require_positive(bad, "radius")
+
+    def test_names_the_first_bad_value_and_its_point(self):
+        z = np.array([1.0, 2.0, math.inf, -1.0])
+        with pytest.raises(DomainError, match=r"^z must be positive and finite, "
+                                              r"got inf at \(2\.0, 0\.5\)$"):
+            _require_positive(z, "z", (np.arange(4.0), 0.5))
+
+    def test_accepts_positive_finite_values(self):
+        _require_positive(np.array([1e-300, 1.0, 1e300]))
+        _require_positive(5e-324)
 
 
 class TestFloatRange:
