@@ -14,9 +14,17 @@ inherit the arrival order, so the stream is a merge of two sorted runs.
 
 simulate makes two passes over the random stream. Every exponential gap is
 drawn before the first branch uniform, so the first pass draws the gaps
-only to find where the uniforms begin. The second draws the gaps again,
-with the uniforms alongside, in chunks of 2^16 arrivals, and after each
-chunk merges and writes every bit that no later arrival can precede.
+only to find where the uniforms begin. It sums each batch of gaps, with a
+strict bound on how far that sum can be from the arrival times' own
+arithmetic; when a batch ends within that bound of the horizon, or a total
+is not finite, it rewinds the generator and redraws the gaps the exact
+way. The second pass draws the gaps again, with the uniforms alongside, in
+chunks of 2^16 arrivals, and after each chunk merges and writes every bit
+that no later arrival can precede. When a gap batch spans more than one
+chunk (rate * horizon above about 6.5e5), a worker thread draws up to two
+chunks ahead of the merge; numpy fills its draws without the GIL. Each
+generator is drawn from by one thread, in the same order, so the bits do
+not depend on the thread.
 Memory is therefore set by the lifetime gap, not by the number of events:
 what waits is the longer-lived branch's emissions, about
 rate * p_b * min(|L0 - L1|, horizon) entries of 8 or 16 bytes.
@@ -25,10 +33,12 @@ rate * p_b * min(|L0 - L1|, horizon) entries of 8 or 16 bytes.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import numbers
 import os
+import threading
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
@@ -39,7 +49,7 @@ from .vortex import (Branch, VortexSolution, collapse_time,
 from .wavecore import DomainError, _require_positive
 
 # The largest expected number of productions, pair_production_rate * horizon,
-# that a run accepts. It bounds run time, about 50 ns per event on a 2-CPU
+# that a run accepts. It bounds run time, about 36 ns per event on a 2-CPU
 # host (under a minute at the cap), not memory: with a sink, simulate holds
 # only the emissions pending within the lifetime gap. Without one, the
 # returned bit stream takes a byte per emitted bit, and as much again while
@@ -125,9 +135,19 @@ class EnsembleReport:
 
     def to_json(self) -> str:
         """JSON has no Infinity: the ratio of a run without 1-bits is null."""
-        ratio = self.empirical_ratio
-        return json.dumps({**self.to_dict(), "empirical_ratio": (
-            ratio if math.isfinite(ratio) else None)}, sort_keys=True)
+        return _finite_json(self.to_dict())
+
+
+def _finite_json(doc: dict) -> str:
+    """``doc`` as sorted JSON, each float that is not finite written as
+    null, in nested dicts too: JSON has no NaN or Infinity."""
+    def finite(value):
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
+    return json.dumps(finite(doc), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -142,25 +162,35 @@ class SimulationResult:
 _CHUNK = 1 << 16
 
 
-def _arrival_times(rng: np.random.Generator, rate: float, horizon: float):
+def _batch_size(rate: float, horizon: float) -> int:
+    """Gaps per batch: a tenth of the expected count plus 64, at least 1,024."""
+    return max(int(rate * horizon * 0.1) + 64, 1024)
+
+
+def _arrival_times(rng: np.random.Generator, rate: float, horizon: float,
+                   slots: int = 1):
     """Poisson arrival times from batched exponential gaps, in chunks.
 
-    Gaps are drawn in batches of a tenth of the expected count plus 64 (at
-    least 1,024), up to and including the first batch that ends at or past
-    the horizon. Each batch's arrival times are
+    Gaps are drawn in batches of ``_batch_size(rate, horizon)``, up to and
+    including the first batch that ends at or past the horizon. Each
+    batch's arrival times are
     ``t_last + np.cumsum(rng.exponential(1 / rate, batch))``, bit for bit:
     a batch is drawn in chunks of at most ``_CHUNK`` gaps, and a chunk's
     cumsum continues the one before when the carry is added to its first
     gap. Each chunk is yielded as it is drawn; none spans two batches.
+    The chunks are drawn into ``slots`` buffers in turn, so a chunk keeps
+    its values only until ``slots`` more have been drawn.
     """
-    batch = max(int(rate * horizon * 0.1) + 64, 1024)
+    batch = _batch_size(rate, horizon)
     scale = 1.0 / rate
+    ring = itertools.cycle([np.empty(min(batch, _CHUNK)) for _ in range(slots)])
     t_last = 0.0
     while t_last < horizon:
         carry = 0.0
         for start in range(0, batch, _CHUNK):
-            # The same bits as rng.exponential(scale, size).
-            chunk = rng.standard_exponential(min(_CHUNK, batch - start))
+            chunk = next(ring)[:min(_CHUNK, batch - start)]
+            # The same bits as rng.exponential(scale, chunk.size).
+            rng.standard_exponential(out=chunk)
             chunk *= scale
             chunk[0] += carry
             np.cumsum(chunk, out=chunk)
@@ -168,6 +198,125 @@ def _arrival_times(rng: np.random.Generator, rate: float, horizon: float):
             chunk += t_last
             yield chunk
         t_last += carry
+
+
+def _skip_gaps(rng: np.random.Generator, rate: float, horizon: float) -> None:
+    """Draw every gap ``_arrival_times(rng, rate, horizon)`` draws, and
+    leave ``rng`` in the same state.
+
+    Each batch is drawn into one reused buffer and summed pairwise, not
+    scaled and cumsummed, so the running total ``t`` only approximates
+    ``t_last``. A batch of n gaps is summed with n - 1 additions and one
+    scaling each way (the exact loop scales every gap, this pass the sum),
+    so each sum is within n eps of the exact one, and each
+    ``t_last += carry`` adds half an eps of ``t``: the two totals drift
+    apart by at most (2 n + 1) eps of ``t`` per batch. ``err`` adds
+    4 (n + 4) eps of ``t``, about twice that, which also covers the
+    rounding of the comparison with the horizon. When a batch ends within
+    ``err`` of the horizon, or ``t`` is within a factor two of the float
+    range, the generator is rewound and the gaps drawn the exact way,
+    which also raises where the exact way raises.
+    """
+    state = rng.bit_generator.state
+    batch, scale = _batch_size(rate, horizon), 1.0 / rate
+    buf = np.empty(min(batch, _CHUNK))
+    eps = float(np.finfo(float).eps)
+    t = err = 0.0
+    while True:
+        total = 0.0
+        for start in range(0, batch, _CHUNK):
+            part = buf[:min(_CHUNK, batch - start)]
+            rng.standard_exponential(out=part)
+            total += float(part.sum())
+        t += total * scale
+        err += 4.0 * (batch + 4) * eps * t
+        if not math.isfinite(2.0 * (t + err)) or abs(t - horizon) <= err:
+            rng.bit_generator.state = state
+            for _ in _arrival_times(rng, rate, horizon):
+                pass
+            return
+        if t > horizon:
+            return
+
+
+def _branch_chunks(arrivals, branch_rng: np.random.Generator, horizon: float,
+                   prob_zero: float, size: int, slots: int = 1):
+    """Each chunk of ``arrivals`` cut at the horizon, with its branches:
+    ``(times, is_zero, final)``, up to and including the ``final`` chunk,
+    the first that reaches the horizon. ``size`` is the longest chunk; the
+    branches are drawn into ``slots`` buffers in turn, as the times are."""
+    uniforms = np.empty(size)
+    ring = itertools.cycle([np.empty(size, bool) for _ in range(slots)])
+    for times in arrivals:
+        final = times[-1] >= horizon
+        if final:
+            times = times[:int(np.searchsorted(times, horizon, "left"))]
+        u = uniforms[:times.size]
+        branch_rng.random(out=u)
+        yield times, np.less(u, prob_zero, out=next(ring)[:times.size]), final
+        if final:
+            return
+
+
+class _LookAhead:
+    """Iterates ``items`` on a worker thread, at most two items ahead of
+    the caller, under the caller's numpy error state. The worker takes an
+    item only while fewer than two wait, so items drawn into three buffers
+    in turn never overwrite the one the caller holds. An exception in the
+    worker is raised again, as it is, by the caller's next step. ``close``
+    stops and joins the worker; call it whether or not the items ran out.
+    """
+
+    def __init__(self, items):
+        self.ready: deque = deque()
+        self.cond = threading.Condition()
+        self.stop = self.done = False
+        self.error = None
+        self.thread = threading.Thread(target=self._run,
+                                       args=(items, np.geterr()), daemon=True)
+        self.thread.start()
+
+    def _run(self, items, errstate):
+        try:
+            with np.errstate(**errstate):
+                items = iter(items)
+                while True:
+                    with self.cond:
+                        while len(self.ready) >= 2 and not self.stop:
+                            self.cond.wait()
+                        if self.stop:
+                            return
+                    item = next(items, None)
+                    if item is None:
+                        return
+                    with self.cond:
+                        self.ready.append(item)
+                        self.cond.notify_all()
+        except BaseException as exc:  # raised again by the caller
+            self.error = exc
+        finally:
+            with self.cond:
+                self.done = True
+                self.cond.notify_all()
+
+    def __iter__(self):
+        while True:
+            with self.cond:
+                while not self.ready and not self.done:
+                    self.cond.wait()
+                if not self.ready:
+                    if self.error is not None:
+                        raise self.error
+                    return
+                item = self.ready.popleft()
+                self.cond.notify_all()
+            yield item
+
+    def close(self) -> None:
+        with self.cond:
+            self.stop = True
+            self.cond.notify_all()
+        self.thread.join()
 
 
 def _merge_bits(t0: np.ndarray, t1: np.ndarray, arrival1: np.ndarray,
@@ -311,21 +460,30 @@ def simulate(config: EnsembleConfig, sink=None) -> SimulationResult:
     # Pass 1: every gap is drawn before the first branch uniform, so the
     # uniforms start where the gaps of the last batch end.
     branch_rng = np.random.default_rng(config.seed)
-    for _ in _arrival_times(branch_rng, rate, horizon):
-        pass
-    # Pass 2 draws the gaps again, with the uniforms alongside.
+    _skip_gaps(branch_rng, rate, horizon)
+    # Pass 2 draws the gaps again, with the uniforms alongside. When a batch
+    # spans more than one chunk, a worker draws up to two chunks ahead into
+    # two buffers of their own, while the caller merges a third. The
+    # arrivals generator is made here, so that a wrapper around
+    # _arrival_times, such as a profiler's, runs on the caller's thread.
     out = io.BytesIO() if sink is None else sink
     stream = _BitStream(config.zero_lifetime, config.one_lifetime, horizon,
                         out, config.digest_bits)
-    for arrivals in _arrival_times(np.random.default_rng(config.seed), rate,
-                                   horizon):
-        final = arrivals[-1] >= horizon
-        if final:
-            arrivals = arrivals[:int(np.searchsorted(arrivals, horizon, "left"))]
-        stream.add(arrivals, branch_rng.random(arrivals.size) < config.prob_zero,
-                   final)
-        if final:
-            break
+    batch = _batch_size(rate, horizon)
+    slots = 3 if batch > _CHUNK else 1
+    chunks = _branch_chunks(
+        _arrival_times(np.random.default_rng(config.seed), rate, horizon,
+                       slots),
+        branch_rng, horizon, config.prob_zero, min(batch, _CHUNK), slots)
+    worker = None
+    try:
+        if slots > 1:
+            chunks = worker = _LookAhead(chunks)
+        for arrivals, is_zero, final in chunks:
+            stream.add(arrivals, is_zero, final)
+    finally:
+        if worker is not None:
+            worker.close()
     bits = "" if sink is not None else out.getvalue().decode("ascii")
     return SimulationResult(report=stream.report(), bit_stream=bits)
 
@@ -384,6 +542,11 @@ class EqualizationReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def to_json(self) -> str:
+        """JSON has no NaN or Infinity: each ratio that is not finite, the
+        nested report's included, is null."""
+        return _finite_json(self.to_dict())
 
 
 def equalization_check(config: EnsembleConfig) -> EqualizationReport:

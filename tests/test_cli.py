@@ -448,6 +448,16 @@ class TestBadInput:
         assert any(line.lower().startswith("error:")
                    for line in proc.stderr.splitlines()), output
 
+    def test_ensemble_gap_sum_overflow_is_one_error_line(self, tmp_path):
+        # The arrival times pass the float range before the horizon.
+        path = write_params(tmp_path, {**ENSEMBLE, "pair_production_rate": 1.5e-302,
+                                       "horizon": 1.7e308, "seed": 1})
+        proc = run_cli_process("ensemble", "--params", path)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: a value computed by ensemble overflows the float range; "
+            "it is not finite"]
+
     @pytest.mark.parametrize("value", ["1", None])
     def test_ensemble_non_number_names_the_field(self, runner, tmp_path, value):
         params = write_params(tmp_path, {**ENSEMBLE, "pair_production_rate": value})

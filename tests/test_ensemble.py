@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,7 @@ from zvortex import (
     steady_state_counts,
 )
 from zvortex.ensemble import _merge_bits
+from zvortex.wavecore import float_range
 
 
 def make_config(**kw):
@@ -347,8 +350,8 @@ class TestEngineEdges:
         rng.standard_exponential(out=b)
         b *= scale
         assert b.tobytes() == ref.exponential(scale, 100_000).tobytes()
-        # Drawn in unequal blocks without out=, as _arrival_times draws a
-        # batch, the gaps are those of one exponential call.
+        # Drawn in unequal blocks, as _arrival_times draws a batch, the gaps
+        # are those of one exponential call.
         blocks = [rng.standard_exponential(n) for n in (65_536, 1, 33_463)]
         want = ref.exponential(scale, 99_000)
         assert (np.concatenate(blocks) * scale).tobytes() == want.tobytes()
@@ -359,10 +362,12 @@ class TestEngineEdges:
         assert u.tobytes() == ref.random(70_000).tobytes()
 
     @pytest.mark.parametrize("kw", ORACLE_CONFIGS)
-    def test_small_blocks(self, monkeypatch, kw):
-        # Chunks of 7 arrivals, so a flush every 7 arrivals.
+    def test_small_blocks(self, monkeypatch, threads, kw):
+        # Chunks of 7 arrivals, so a flush every 7 arrivals, and batches
+        # of many chunks, so a worker draws ahead.
         monkeypatch.setattr(ensemble, "_CHUNK", 7)
         assert_matches_oracle(make_config(**kw))
+        assert len(threads) == 1 and not threads[0].is_alive()
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_sub_chunk_and_window_edges(self, monkeypatch, offset):
@@ -405,6 +410,221 @@ class TestEngineEdges:
         batch = int(cfg.pair_production_rate * cfg.horizon * 0.1) + 64
         assert old.report.produced > 9 * batch  # ten arrival batches
         assert old.report.emitted > 500_000
+
+
+def exact_state(rng, rate, horizon):
+    """The generator state after the exact loop draws every gap."""
+    for _ in ensemble._arrival_times(rng, rate, horizon):
+        pass
+    return rng.bit_generator.state
+
+
+@pytest.fixture
+def exact_runs(monkeypatch):
+    """Counts the calls of _arrival_times, the exact loop pass 1 falls back
+    to."""
+    calls = []
+    arrival_times = ensemble._arrival_times
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return arrival_times(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "_arrival_times", counting)
+    return calls
+
+
+class TestSkipGaps:
+    """Pass 1 sums the gaps, and leaves the generator where the exact loop
+    does."""
+
+    def test_state_matches_the_exact_loop(self, monkeypatch, exact_runs):
+        rng = np.random.default_rng(99)
+        placed = {"below": 0, "at": 0, "above": 0}
+        for seed in range(210):
+            rate = float(10.0 ** rng.uniform(-3.0, 6.0))
+            horizon = float(rng.uniform(100.0, 12_000.0)) / rate
+            batch = ensemble._batch_size(rate, horizon)
+            where = ("below", "at", "above")[seed % 3]
+            chunk = {"below": batch + 1 + seed, "at": batch,
+                     "above": max(batch // (2 + seed % 5), 1)}[where]
+            monkeypatch.setattr(ensemble, "_CHUNK", chunk)
+            got = np.random.default_rng(seed)
+            ensemble._skip_gaps(got, rate, horizon)
+            # No batch ended near the horizon: the summing path ran.
+            assert exact_runs == []
+            want = exact_state(np.random.default_rng(seed), rate, horizon)
+            assert got.bit_generator.state == want, (seed, rate, horizon)
+            exact_runs.clear()
+            placed[where] += 1
+        assert min(placed.values()) == 70
+
+    @pytest.mark.parametrize("rate,horizon", [(7e4, 10.0), (3.3e5, 2.5)])
+    def test_batches_longer_than_a_chunk(self, rate, horizon, exact_runs):
+        assert ensemble._batch_size(rate, horizon) > ensemble._CHUNK
+        got = np.random.default_rng(4)
+        ensemble._skip_gaps(got, rate, horizon)
+        assert exact_runs == []
+        assert got.bit_generator.state == exact_state(
+            np.random.default_rng(4), rate, horizon)
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 300, 1024])
+    @pytest.mark.parametrize("end", [0, 1, 2])
+    def test_near_ties_fall_back(self, monkeypatch, exact_runs, chunk, end):
+        # A batch of 1,024 gaps for any horizon below 96 at rate 100, one
+        # chunk each at the default chunk size: the horizon is set to an
+        # exact batch end and to its neighbours.
+        rate = 100.0
+        ends = [c[-1] for c in ensemble._arrival_times(
+            np.random.default_rng(8), rate, 50.0)]
+        tie = float(ends[end])
+        monkeypatch.setattr(ensemble, "_CHUNK", chunk)
+        states = []
+        for horizon in (np.nextafter(tie, 0.0), tie, np.nextafter(tie, np.inf)):
+            horizon = float(horizon)
+            assert ensemble._batch_size(rate, horizon) == 1024
+            exact_runs.clear()
+            got = np.random.default_rng(8)
+            ensemble._skip_gaps(got, rate, horizon)
+            assert len(exact_runs) == 1  # the fallback ran
+            want = exact_state(np.random.default_rng(8), rate, horizon)
+            assert got.bit_generator.state == want
+            states.append(want)
+        # At the batch end and below it the loop stops; just above, it
+        # draws one more batch.
+        assert states[0] == states[1] != states[2]
+
+    def test_totals_near_the_float_range_fall_back(self, exact_runs):
+        # One batch of 1,024 gaps of mean 1e305 sums to about 1e308, past
+        # half the float range: the exact loop decides, and does not raise.
+        rate, horizon = 1e-305, 1e307
+        got = np.random.default_rng(3)
+        ensemble._skip_gaps(got, rate, horizon)
+        assert len(exact_runs) == 1
+        assert got.bit_generator.state == exact_state(
+            np.random.default_rng(3), rate, horizon)
+
+    def test_sum_past_the_float_range_is_a_domain_error(self, exact_runs):
+        cfg = EnsembleConfig(pair_production_rate=1.5e-302,
+                             ratio_zero_to_one=1.0, k=1.0, s=1.0, beta=1.0,
+                             horizon=1.7e308, seed=1)
+        with pytest.raises(DomainError, match="overflows the float range"):
+            with float_range("ensemble"):
+                simulate(cfg)
+        assert len(exact_runs) == 1  # pass 1 fell back, and raised
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """Every thread started while the test runs."""
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recording)
+    return started
+
+
+class DrawError(Exception):
+    pass
+
+
+class TestLookAhead:
+    """A worker draws ahead when a batch spans more than one chunk: the
+    same bits, and no thread left behind."""
+
+    def test_no_thread_outlives_a_failed_write(self, monkeypatch, threads):
+        monkeypatch.setattr(ensemble, "_CHUNK", 100)
+
+        class Sink:
+            writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 5:
+                    raise OSError("no space left")
+
+        with pytest.raises(OSError, match="no space left"):
+            simulate(make_config(), Sink())
+        assert len(threads) == 1 and not threads[0].is_alive()
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, threads):
+        monkeypatch.setattr(ensemble, "_CHUNK", 100)
+        arrival_times, raised_in = ensemble._arrival_times, []
+
+        def failing(*args):
+            for n, chunk in enumerate(arrival_times(*args)):
+                if n == 20:
+                    raised_in.append(threading.current_thread())
+                    raise DrawError("draw failed")
+                yield chunk
+
+        monkeypatch.setattr(ensemble, "_arrival_times", failing)
+        with pytest.raises(DrawError, match="draw failed"):
+            simulate(make_config())
+        assert raised_in == threads and not threads[0].is_alive()
+
+    def test_worker_runs_under_the_callers_error_state(self, monkeypatch,
+                                                       threads):
+        monkeypatch.setattr(ensemble, "_CHUNK", 100)
+        arrival_times, seen = ensemble._arrival_times, []
+
+        def recording(*args):
+            for chunk in arrival_times(*args):
+                seen.append((threading.current_thread(), np.geterr()))
+                yield chunk
+
+        monkeypatch.setattr(ensemble, "_arrival_times", recording)
+        with np.errstate(over="raise", under="ignore", divide="ignore",
+                         invalid="raise"):
+            caller = np.geterr()
+            simulate(make_config())
+        assert caller != np.geterr()
+        assert seen and all(entry == (threads[0], caller) for entry in seen)
+
+    def test_concurrent_runs_under_a_short_switch_interval(self, monkeypatch,
+                                                          threads):
+        # Three runs at once, each with its worker: six threads, more than
+        # a small machine's cores, switching every microsecond. A worker that ran
+        # more than two chunks ahead would overwrite the chunk its caller
+        # is merging, and the bits would differ.
+        monkeypatch.setattr(ensemble, "_CHUNK", 50)
+        configs = [make_config(seed=seed, pair_production_rate=300.0)
+                   for seed in (1, 2, 3)]
+        want = [oracle_simulate(cfg).bit_stream for cfg in configs]
+        got = [None] * len(configs)
+
+        def run(i):
+            got[i] = simulate(configs[i]).bit_stream
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(configs))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == 6 and not any(t.is_alive() for t in threads)
+        assert got == want
+
+    def test_a_hundred_thousand_events_start_no_thread(self, threads):
+        cfg = make_config(pair_production_rate=5e3)
+        assert cfg.pair_production_rate * cfg.horizon == 1e5
+        rep = simulate(cfg).report
+        assert rep.produced > 99_000 and threads == []
+
+    def test_a_million_events_start_one(self, threads):
+        cfg = make_config(pair_production_rate=5e4, seed=2)
+        assert ensemble._batch_size(5e4, 20.0) > ensemble._CHUNK
+        simulate(cfg, io.BytesIO())
+        assert len(threads) == 1 and not threads[0].is_alive()
 
 
 # sha256 of the bit stream and of the report JSON, recorded with the
@@ -599,3 +819,28 @@ class TestEqualization:
     def test_serializable(self):
         report = equalization_check(make_config())
         json.dumps(report.to_dict())
+
+    @pytest.mark.parametrize("kw,nulls", [
+        # Rate 500, k = s = beta = 1, horizon 2, seed 7: no 0-bit, so the
+        # emission-rate ratio is NaN, which json.dumps prints as NaN.
+        ({"horizon": 2.0}, {"emission_rate_ratio"}),
+        # No 1-bit: the ratios are inf, the nested report's too.
+        ({"s": 10.0, "horizon": 2.0}, {"emission_rate_ratio", "emitted_ratio",
+                                       "report.empirical_ratio"}),
+    ])
+    def test_json_writes_null_for_non_finite_ratios(self, kw, nulls):
+        report = equalization_check(make_config(**kw))
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        def flat(doc):
+            nested = {f"report.{k}": v for k, v in doc.pop("report").items()}
+            return {**doc, **nested}
+
+        got = flat(json.loads(report.to_json(), parse_constant=reject))
+        want = flat(report.to_dict())
+        assert {k for k, v in got.items() if v is None} == nulls
+        assert all(not math.isfinite(want[k]) for k in nulls)
+        assert {k: v for k, v in got.items() if k not in nulls} == \
+            {k: v for k, v in want.items() if k not in nulls}
