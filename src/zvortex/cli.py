@@ -33,6 +33,9 @@ TOLERANCE_ENV = "ZVORTEX_TOLERANCE"
 # text is written block by block as it is formatted.
 MAX_STEPS = 10 ** 6
 MAX_POINTS = 2 * 10 ** 5
+# The most (z, x, y) points a verify grid holds: 10^6 take about 0.7 s and
+# 170 MB, since every check's stencil holds a few arrays of the grid's size.
+MAX_GRID_POINTS = 10 ** 6
 
 
 def _fmt(x: float) -> str:
@@ -202,6 +205,10 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
     y_values = _numbers(grid, "y", [-2.0, -1.0, 0.0, 1.0, 2.0])
     if not (z_values and x_values and y_values):
         raise click.UsageError("grid z, x and y must each hold a value")
+    points = len(z_values) * len(x_values) * len(y_values)
+    if points > MAX_GRID_POINTS:
+        raise DomainError(
+            f"grid must hold at most {MAX_GRID_POINTS} points, got {points}")
     if any(z <= 0.0 for z in z_values):
         raise click.UsageError("grid z values must be positive")
     h1 = _number(params, "h_first", wc.STEP_FIRST)

@@ -21,10 +21,10 @@ is not finite, it rewinds the generator and redraws the gaps the exact
 way. The second pass draws the gaps again, with the uniforms alongside, in
 chunks of 2^16 arrivals, and after each chunk merges and writes every bit
 that no later arrival can precede. When a gap batch spans more than one
-chunk (rate * horizon above about 6.5e5), a worker thread draws up to two
-chunks ahead of the merge; numpy fills its draws without the GIL. Each
-generator is drawn from by one thread, in the same order, so the bits do
-not depend on the thread.
+chunk (rate * horizon above about 6.5e5), the chunks are drawn on one
+executor thread, with two draws submitted ahead of the merge; numpy fills
+its draws without the GIL. Each generator is drawn from by one thread, in
+the same order, so the bits do not depend on the thread.
 Memory is therefore set by the lifetime gap, not by the number of events:
 what waits is the longer-lived branch's emissions, about
 rate * p_b * min(|L0 - L1|, horizon) entries of 8 or 16 bytes.
@@ -32,13 +32,13 @@ rate * p_b * min(|L0 - L1|, horizon) entries of 8 or 16 bytes.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import json
 import math
 import numbers
 import os
-import threading
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
@@ -258,65 +258,25 @@ def _branch_chunks(arrivals, branch_rng: np.random.Generator, horizon: float,
             return
 
 
-class _LookAhead:
-    """Iterates ``items`` on a worker thread, at most two items ahead of
-    the caller, under the caller's numpy error state. The worker takes an
-    item only while fewer than two wait, so items drawn into three buffers
-    in turn never overwrite the one the caller holds. An exception in the
-    worker is raised again, as it is, by the caller's next step. ``close``
-    stops and joins the worker; call it whether or not the items ran out.
-    """
+def _drawn_ahead(items):
+    """Yield the iterator ``items``, drawn on one worker thread under the
+    caller's numpy error state, two draws submitted ahead: items drawn into
+    three buffers in turn never overwrite the one the caller holds. A draw's
+    exception is raised again, as it is, by the caller's next step. Leaving
+    the generator, however it is left, joins the worker."""
+    # Imported here: it loads logging, which every command would pay for.
+    from concurrent.futures import ThreadPoolExecutor
+    errstate = np.geterr()
 
-    def __init__(self, items):
-        self.ready: deque = deque()
-        self.cond = threading.Condition()
-        self.stop = self.done = False
-        self.error = None
-        self.thread = threading.Thread(target=self._run,
-                                       args=(items, np.geterr()), daemon=True)
-        self.thread.start()
+    def draw():
+        with np.errstate(**errstate):
+            return next(items, None)
 
-    def _run(self, items, errstate):
-        try:
-            with np.errstate(**errstate):
-                items = iter(items)
-                while True:
-                    with self.cond:
-                        while len(self.ready) >= 2 and not self.stop:
-                            self.cond.wait()
-                        if self.stop:
-                            return
-                    item = next(items, None)
-                    if item is None:
-                        return
-                    with self.cond:
-                        self.ready.append(item)
-                        self.cond.notify_all()
-        except BaseException as exc:  # raised again by the caller
-            self.error = exc
-        finally:
-            with self.cond:
-                self.done = True
-                self.cond.notify_all()
-
-    def __iter__(self):
-        while True:
-            with self.cond:
-                while not self.ready and not self.done:
-                    self.cond.wait()
-                if not self.ready:
-                    if self.error is not None:
-                        raise self.error
-                    return
-                item = self.ready.popleft()
-                self.cond.notify_all()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = [pool.submit(draw), pool.submit(draw)]
+        while (item := ahead.pop(0).result()) is not None:
+            ahead.append(pool.submit(draw))
             yield item
-
-    def close(self) -> None:
-        with self.cond:
-            self.stop = True
-            self.cond.notify_all()
-        self.thread.join()
 
 
 def _merge_bits(t0: np.ndarray, t1: np.ndarray, arrival1: np.ndarray,
@@ -462,9 +422,9 @@ def simulate(config: EnsembleConfig, sink=None) -> SimulationResult:
     branch_rng = np.random.default_rng(config.seed)
     _skip_gaps(branch_rng, rate, horizon)
     # Pass 2 draws the gaps again, with the uniforms alongside. When a batch
-    # spans more than one chunk, a worker draws up to two chunks ahead into
-    # two buffers of their own, while the caller merges a third. The
-    # arrivals generator is made here, so that a wrapper around
+    # spans more than one chunk, one executor thread draws the chunks, two
+    # submitted ahead into buffers of their own, while the caller merges a
+    # third. The arrivals generator is made here, so that a wrapper around
     # _arrival_times, such as a profiler's, runs on the caller's thread.
     out = io.BytesIO() if sink is None else sink
     stream = _BitStream(config.zero_lifetime, config.one_lifetime, horizon,
@@ -475,15 +435,11 @@ def simulate(config: EnsembleConfig, sink=None) -> SimulationResult:
         _arrival_times(np.random.default_rng(config.seed), rate, horizon,
                        slots),
         branch_rng, horizon, config.prob_zero, min(batch, _CHUNK), slots)
-    worker = None
-    try:
-        if slots > 1:
-            chunks = worker = _LookAhead(chunks)
+    if slots > 1:
+        chunks = _drawn_ahead(chunks)
+    with contextlib.closing(chunks):
         for arrivals, is_zero, final in chunks:
             stream.add(arrivals, is_zero, final)
-    finally:
-        if worker is not None:
-            worker.close()
     bits = "" if sink is not None else out.getvalue().decode("ascii")
     return SimulationResult(report=stream.report(), bit_stream=bits)
 

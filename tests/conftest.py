@@ -1,0 +1,12 @@
+import threading
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread running which it did not find."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"

@@ -390,6 +390,9 @@ class TestBadInput:
           for key in ("cr_tolerance", "laplace_tolerance", "residual_tolerance")),
         *(pytest.param("verify", {"grid": {axis: []}}, [], None, 2,
                        id=f"verify-grid-{axis}-empty") for axis in "zxy"),
+        # 10^12 points, which numpy would try to allocate.
+        pytest.param("verify", {"grid": {axis: [1.0] * 10 ** 4 for axis in "zxy"}},
+                     [], None, 1, id="verify-grid-above-limit"),
         pytest.param("ensemble", {**ENSEMBLE, "k": True}, [], None, 2,
                      id="ensemble-k-bool"),
         pytest.param("verify", {}, ["--hbar", "-1"], None, 1,
@@ -503,6 +506,18 @@ class TestSizeLimits:
         assert cli_mod._count({key: limit}, key, 1, 0, limit) == limit
         with pytest.raises(zvortex.DomainError, match=f"at most {limit}"):
             cli_mod._count({key: limit + 1}, key, 1, 0, limit)
+
+    def test_verify_grid_limit_accepted_and_one_past_rejected(self):
+        limit = cli_mod.MAX_GRID_POINTS
+        assert limit == 100 ** 3
+        axis = [-2.0 + 0.04 * i for i in range(100)]
+        grid = {"z": [0.5 + 0.015 * i for i in range(100)], "x": axis, "y": axis}
+        phys = cli_mod._physical({}, None, None)
+        assert all(c["pass"] for c in cli_mod._verify_checks({"grid": grid}, phys))
+        past = {"z": [1.0], "x": [0.0], "y": [0.0] * (limit + 1)}
+        with pytest.raises(zvortex.DomainError,
+                           match=f"at most {limit} points, got {limit + 1}$"):
+            cli_mod._verify_checks({"grid": past}, phys)
 
 
 class TestFlags:

@@ -2,8 +2,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -625,6 +628,43 @@ class TestLookAhead:
         assert ensemble._batch_size(5e4, 20.0) > ensemble._CHUNK
         simulate(cfg, io.BytesIO())
         assert len(threads) == 1 and not threads[0].is_alive()
+
+
+class TestDrawnAhead:
+    """_drawn_ahead on its own: the bound on how far the worker runs ahead,
+    the join on an early close, and the import it defers."""
+
+    def test_drawn_ahead_at_most_two_items_ahead(self):
+        taken = []
+
+        def items():
+            for k in range(40):
+                taken.append(k)
+                yield k
+
+        held = []
+        for k in ensemble._drawn_ahead(items()):
+            time.sleep(0.001)  # time for a worker to run further ahead
+            assert len(taken) <= k + 3
+            held.append(k)
+        assert held == taken == list(range(40))
+
+    def test_drawn_ahead_closed_early_joins_its_worker(self, threads):
+        ahead = ensemble._drawn_ahead(iter(range(100)))
+        assert next(ahead) == 0
+        ahead.close()
+        assert len(threads) == 1 and not threads[0].is_alive()
+
+    def test_drawn_ahead_executor_not_loaded_by_the_cli(self):
+        # concurrent.futures loads logging, which would lengthen every
+        # command's start-up.
+        src = os.path.dirname(os.path.dirname(ensemble.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, zvortex.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout == "False\n", proc.stderr
 
 
 # sha256 of the bit stream and of the report JSON, recorded with the
