@@ -1,77 +1,3 @@
 """Numerical toolkit for complex-power vortex wave functions psi = z**c."""
 
-from .wavecore import (
-    CParam,
-    ContourResult,
-    DomainError,
-    NormalizabilityKind,
-    WaveValue,
-    cauchy_formula,
-    check_cauchy_riemann,
-    contour_integral,
-    d2psi_dc2,
-    dpsi_dc,
-    eval_psi,
-    laplace_residual,
-    normalizability,
-    partials_uv,
-    psi_values,
-)
-from .schrodinger_field import (
-    GridReport,
-    NATURAL_UNITS,
-    PhysicalParams,
-    Potential,
-    ZField,
-    complex_residual,
-    constant_field,
-    evaluate_grid,
-    exponential_field,
-    imag_residual,
-    psi_partials,
-    real_residual,
-    sum_field,
-)
-from .vortex import (
-    Branch,
-    Trajectory,
-    VortexSolution,
-    collapse_bit,
-    collapse_time,
-    gradient_map_segment,
-    imag_solution,
-    k_from_potential,
-    normalization_constant,
-    real_solution,
-    segment_involution,
-    segment_involution_inverse,
-    squared_map,
-    trajectory,
-    vortex_ratio,
-    zero_vortex_lifetime,
-)
-from .energy import (
-    BelowLadderError,
-    EnergyLadder,
-    TraceStep,
-    delta_k,
-    energy_of_potential,
-    k_jump_trace,
-    level_index,
-    potential_of_energy,
-    quantized_k,
-    quantized_solution,
-    unit_step,
-)
-from .ensemble import (
-    EnsembleConfig,
-    EnsembleReport,
-    EqualizationReport,
-    SimulationResult,
-    equalization_check,
-    expected_emissions,
-    simulate,
-    steady_state_counts,
-)
-
 __version__ = "0.1.0"

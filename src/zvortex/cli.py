@@ -46,9 +46,11 @@ def _load_params(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # Bytes that are not UTF-8, bad JSON and an integer past Python's digit
+    # limit are ValueErrors; JSON nested too deep is a RecursionError.
+    except (OSError, ValueError, RecursionError) as exc:
         raise click.UsageError(f"cannot read params file: {exc}")
     if not isinstance(data, dict):
         raise click.UsageError("params file must hold a JSON object")

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import zvortex
 from zvortex import cli as cli_mod
+from zvortex import ensemble
+from zvortex import wavecore as wc
 from zvortex.cli import cli
 
 
@@ -35,6 +37,18 @@ def run_cli_process(*args, env=None):
     return subprocess.run([sys.executable, "-m", "zvortex.cli", *args],
                           capture_output=True, text=True, env=env,
                           timeout=60)
+
+
+def test_package_exports_no_names_and_loads_no_numpy():
+    # Each name has one import path, its module; ``import zvortex`` alone
+    # loads no submodule.
+    src = os.path.dirname(os.path.dirname(zvortex.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, zvortex; print(sorted(n for n in "
+         "vars(zvortex) if not n.startswith('_')), 'numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "[] False\n", proc.stdout + proc.stderr
 
 
 class TestVerify:
@@ -173,7 +187,7 @@ class TestEnsemble:
         result = runner.invoke(cli, ["ensemble", "--params", params,
                                      "--bits-out", str(bits_path)])
         assert result.exit_code == 0
-        kept = zvortex.simulate(zvortex.EnsembleConfig(**self.config()))
+        kept = ensemble.simulate(ensemble.EnsembleConfig(**self.config()))
         assert bits_path.read_bytes() == (kept.bit_stream + "\n").encode()
         assert json.loads(result.output) == kept.report.to_dict()
 
@@ -274,7 +288,7 @@ class TestEnsemble:
         assert report["empirical_ratio"] is None
         assert next(csv.DictReader(as_csv.output.splitlines()))[
             "empirical_ratio"] == "inf"
-        rep = zvortex.simulate(zvortex.EnsembleConfig(**config)).report
+        rep = ensemble.simulate(ensemble.EnsembleConfig(**config)).report
         assert rep.empirical_ratio == math.inf
 
     def test_unknown_key_usage_error(self, runner, tmp_path):
@@ -451,6 +465,23 @@ class TestBadInput:
         assert any(line.lower().startswith("error:")
                    for line in proc.stderr.splitlines()), output
 
+    @pytest.mark.parametrize("command,raw", [
+        pytest.param("verify", b"\xff\xfe{}", id="verify-not-utf8"),
+        pytest.param("ensemble", b"[" * 10 ** 5 + b"]" * 10 ** 5,
+                     id="ensemble-nested-too-deep"),
+        pytest.param("geometry", b'{"k": ' + b"1" * 5000 + b"}",
+                     id="geometry-integer-too-long"),
+    ])
+    def test_unreadable_params_file(self, tmp_path, command, raw):
+        path = tmp_path / "params.json"
+        path.write_bytes(raw)
+        proc = run_cli_process(command, "--params", str(path))
+        output = proc.stdout + proc.stderr
+        assert proc.returncode == 2, output
+        assert "Traceback" not in output
+        assert any(line.lower().startswith("error: cannot read params file:")
+                   for line in proc.stderr.splitlines()), output
+
     def test_ensemble_gap_sum_overflow_is_one_error_line(self, tmp_path):
         # The arrival times pass the float range before the horizon.
         path = write_params(tmp_path, {**ENSEMBLE, "pair_production_rate": 1.5e-302,
@@ -504,7 +535,7 @@ class TestSizeLimits:
                                            ("n", cli_mod.MAX_POINTS)])
     def test_limit_accepted_and_one_past_rejected(self, key, limit):
         assert cli_mod._count({key: limit}, key, 1, 0, limit) == limit
-        with pytest.raises(zvortex.DomainError, match=f"at most {limit}"):
+        with pytest.raises(wc.DomainError, match=f"at most {limit}"):
             cli_mod._count({key: limit + 1}, key, 1, 0, limit)
 
     def test_verify_grid_limit_accepted_and_one_past_rejected(self):
@@ -515,7 +546,7 @@ class TestSizeLimits:
         phys = cli_mod._physical({}, None, None)
         assert all(c["pass"] for c in cli_mod._verify_checks({"grid": grid}, phys))
         past = {"z": [1.0], "x": [0.0], "y": [0.0] * (limit + 1)}
-        with pytest.raises(zvortex.DomainError,
+        with pytest.raises(wc.DomainError,
                            match=f"at most {limit} points, got {limit + 1}$"):
             cli_mod._verify_checks({"grid": past}, phys)
 

@@ -4,15 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zvortex import (
+from zvortex.energy import (
     BelowLadderError,
-    Branch,
-    DomainError,
     EnergyLadder,
-    PhysicalParams,
     delta_k,
     energy_of_potential,
-    k_from_potential,
     k_jump_trace,
     level_index,
     potential_of_energy,
@@ -20,6 +16,9 @@ from zvortex import (
     quantized_solution,
     unit_step,
 )
+from zvortex.schrodinger_field import PhysicalParams
+from zvortex.vortex import Branch, k_from_potential
+from zvortex.wavecore import DomainError
 
 NAT = PhysicalParams()
 

@@ -13,18 +13,17 @@ import numpy as np
 import pytest
 
 from zvortex import ensemble
-from zvortex import (
-    DomainError,
+from zvortex.ensemble import (
     EnsembleConfig,
     EnsembleReport,
     SimulationResult,
+    _merge_bits,
     equalization_check,
     expected_emissions,
     simulate,
     steady_state_counts,
 )
-from zvortex.ensemble import _merge_bits
-from zvortex.wavecore import float_range
+from zvortex.wavecore import DomainError, float_range
 
 
 def make_config(**kw):

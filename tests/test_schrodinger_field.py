@@ -7,13 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zvortex import (
-    Branch,
-    CParam,
-    DomainError,
+from zvortex.schrodinger_field import (
     PhysicalParams,
     Potential,
-    VortexSolution,
     ZField,
     complex_residual,
     constant_field,
@@ -22,9 +18,10 @@ from zvortex import (
     imag_residual,
     psi_partials,
     real_residual,
-    real_solution,
     sum_field,
 )
+from zvortex.vortex import Branch, VortexSolution, real_solution
+from zvortex.wavecore import CParam, DomainError
 
 NAT = PhysicalParams()
 C12 = CParam(1.0, 2.0)

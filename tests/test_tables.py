@@ -19,23 +19,15 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zvortex import (
-    Branch,
-    CParam,
-    DomainError,
-    PhysicalParams,
-    Potential,
-    VortexSolution,
-    collapse_time,
-    constant_field,
-    evaluate_grid,
-    exponential_field,
-    imag_solution,
-    trajectory,
-)
 from zvortex import vortex as vx
 from zvortex.cli import cli
+from zvortex.schrodinger_field import (PhysicalParams, Potential,
+                                       constant_field, evaluate_grid,
+                                       exponential_field)
 from zvortex.tables import BLOCK_ROWS, format_rows
+from zvortex.vortex import (Branch, VortexSolution, collapse_time,
+                            imag_solution, trajectory)
+from zvortex.wavecore import CParam, DomainError
 
 
 def _fmt(x: float) -> str:

@@ -5,21 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from zvortex import (
+from zvortex.schrodinger_field import (PhysicalParams, Potential,
+                                       imag_residual, real_residual)
+from zvortex.vortex import (
     Branch,
-    CParam,
-    DomainError,
-    PhysicalParams,
-    Potential,
     VortexSolution,
     collapse_bit,
     collapse_time,
     gradient_map_segment,
-    imag_residual,
     imag_solution,
     k_from_potential,
     normalization_constant,
-    real_residual,
     real_solution,
     segment_involution,
     segment_involution_inverse,
@@ -28,6 +24,7 @@ from zvortex import (
     vortex_ratio,
     zero_vortex_lifetime,
 )
+from zvortex.wavecore import CParam, DomainError
 
 NAT = PhysicalParams()
 C12 = CParam(1.0, 2.0)

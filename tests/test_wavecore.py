@@ -6,23 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zvortex import (
+from zvortex.wavecore import (
     CParam,
+    ContourResult,
     DomainError,
+    MIN_CONTOUR_POINTS,
     NormalizabilityKind,
+    WaveValue,
+    _require_positive,
     cauchy_formula,
     check_cauchy_riemann,
     contour_integral,
     d2psi_dc2,
     dpsi_dc,
     eval_psi,
+    float_range,
     laplace_residual,
     normalizability,
     partials_uv,
     psi_values,
 )
-from zvortex.wavecore import (ContourResult, MIN_CONTOUR_POINTS, WaveValue,
-                              _require_positive, float_range)
 
 E = math.e
 
