@@ -42,7 +42,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _load_params(path: str | None) -> dict:
+def _load_params(path: str | None, keys: Iterable[str]) -> dict:
     if path is None:
         return {}
     try:
@@ -52,9 +52,17 @@ def _load_params(path: str | None) -> dict:
     # limit are ValueErrors; JSON nested too deep is a RecursionError.
     except (OSError, ValueError, RecursionError) as exc:
         raise click.UsageError(f"cannot read params file: {exc}")
-    if not isinstance(data, dict):
-        raise click.UsageError("params file must hold a JSON object")
-    return data
+    return _json_object(data, keys, "params file")
+
+
+def _json_object(value, keys: Iterable[str], what: str) -> dict:
+    """``value``, which must be a dict with no key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise click.UsageError(f"{what} must be a JSON object")
+    if unknown := sorted(set(value) - set(keys)):
+        raise click.UsageError(
+            f"{what} has an unknown key {unknown[0]!r}, not one of {sorted(keys)}")
+    return value
 
 
 def _open_output(path: str, mode: str):
@@ -199,9 +207,7 @@ def _physical(params: dict, hbar: float | None, mass: float | None) -> sf.Physic
 
 
 def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
-    grid = params.get("grid", {})
-    if not isinstance(grid, dict):
-        raise click.UsageError("grid must be a JSON object")
+    grid = _json_object(params.get("grid", {}), "zxy", "grid")
     z_values = _numbers(grid, "z", [0.5, 0.8, 1.0, 1.5, 2.0])
     x_values = _numbers(grid, "x", [-2.0, -1.0, 0.0, 1.0, 2.0])
     y_values = _numbers(grid, "y", [-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -273,7 +279,9 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
 @_options(*_io_options("csv"), *_hbar_mass)
 def cmd_verify(params_path, out_path, fmt, hbar, mass):
     """Run the full analyticity and residual property grid."""
-    params = _load_params(params_path)
+    params = _load_params(params_path, (
+        "hbar", "mass", "grid", "h_first", "h_second", "perturb", "u_f",
+        "cr_tolerance", "laplace_tolerance", "residual_tolerance"))
     checks = _verify_checks(params, _physical(params, hbar, mass))
     all_pass = all(c["pass"] for c in checks)
     if fmt == "json":
@@ -297,7 +305,8 @@ def cmd_trajectory(params_path, out_path, fmt, hbar, mass):
     """Sample the (u, v)-plane vortex trajectory.
 
     ``steps`` (default 100) is at most MAX_STEPS, 10^6."""
-    params = _load_params(params_path)
+    params = _load_params(params_path, ("hbar", "mass", "branch", "k",
+                                        "u_f", "s", "t_max", "steps"))
     phys = _physical(params, hbar, mass)
     try:
         branch = vx.Branch(params.get("branch", "one_vortex"))
@@ -337,7 +346,7 @@ def cmd_trajectory(params_path, out_path, fmt, hbar, mass):
 @_options(*_io_options("csv"), *_hbar_mass)
 def cmd_ladder(params_path, out_path, fmt, hbar, mass):
     """Trace the quantized k along an energy schedule."""
-    params = _load_params(params_path)
+    params = _load_params(params_path, ("hbar", "mass", "eigenvalues", "schedule"))
     phys = _physical(params, hbar, mass)
     ladder = energy_mod.EnergyLadder(tuple(_numbers(params, "eigenvalues")))
     trace = energy_mod.k_jump_trace(ladder, _numbers(params, "schedule"), phys)
@@ -362,7 +371,7 @@ def cmd_ensemble(params_path, out_path, fmt, seed, bits_out):
 
     The report is JSON by default; ``--format csv`` gives a header row and
     one value row, with the report's keys in sorted order."""
-    params = _load_params(params_path)
+    params = _load_params(params_path, ensemble_mod.EnsembleConfig.__dataclass_fields__)
     if seed is not None:
         params["seed"] = seed
     try:
@@ -397,7 +406,7 @@ def cmd_geometry(params_path, out_path, fmt):
     """Sample the gradient-map segments, involution images, and squared ray.
 
     ``n`` (default 50) is at most MAX_POINTS, 2 x 10^5."""
-    params = _load_params(params_path)
+    params = _load_params(params_path, ("k", "n", "z_max", "z_min"))
     k = _number(params, "k", 1.0)
     n = _count(params, "n", 50, minimum=2, maximum=MAX_POINTS)
     z_max = _number(params, "z_max", 4.0)

@@ -12,22 +12,20 @@ at the same instant keep the order in which their vortices were produced
 (arrival index). With only two lifetimes, each branch's emission times
 inherit the arrival order, so the stream is a merge of two sorted runs.
 
-simulate makes two passes over the random stream. Every exponential gap is
-drawn before the first branch uniform, so the first pass draws the gaps
-only to find where the uniforms begin. It sums each batch of gaps, with a
-strict bound on how far that sum can be from the arrival times' own
-arithmetic; when a batch ends within that bound of the horizon, or a total
-is not finite, it rewinds the generator and redraws the gaps the exact
-way. The second pass draws the gaps again, with the uniforms alongside, in
-chunks of 2^16 arrivals, and after each chunk merges and writes every bit
-that no later arrival can precede. When a gap batch spans more than one
-chunk (rate * horizon above about 6.5e5), the chunks are drawn on one
-executor thread, with two draws submitted ahead of the merge; numpy fills
-its draws without the GIL. Each generator is drawn from by one thread, in
-the same order, so the bits do not depend on the thread.
+simulate makes one pass. The exponential gaps come from
+``np.random.default_rng(seed)``, and the branch uniforms from a generator of
+their own, seeded with the first child that ``SeedSequence(seed)`` spawns,
+so a seed's arrival times do not depend on the branch draws. Both are drawn
+in chunks of 2^16 arrivals, and after each chunk every bit that no later
+arrival can precede is merged and written. When a gap batch spans more
+than one chunk (rate * horizon above about 6.5e5), the chunks are drawn on
+one executor thread, with two draws submitted ahead of the merge; numpy
+fills its draws without the GIL. Each generator is drawn from by one
+thread, in the same order, so the bits do not depend on the thread.
 Memory is therefore set by the lifetime gap, not by the number of events:
 what waits is the longer-lived branch's emissions, about
-rate * p_b * min(|L0 - L1|, horizon) entries of 8 or 16 bytes.
+rate * p_b * min(|L0 - L1|, horizon) entries of 8 or 16 bytes. An arrival
+time past the float range raises once the bits before it are written.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from .vortex import (Branch, VortexSolution, collapse_time,
 from .wavecore import DomainError, _require_positive
 
 # The largest expected number of productions, pair_production_rate * horizon,
-# that a run accepts. It bounds run time, about 36 ns per event on a 2-CPU
+# that a run accepts. It bounds run time, about 26 ns per event on a 2-CPU
 # host (under a minute at the cap), not memory: with a sink, simulate holds
 # only the emissions pending within the lifetime gap. Without one, the
 # returned bit stream takes a byte per emitted bit, and as much again while
@@ -59,6 +57,8 @@ MAX_EXPECTED_EVENTS = 1e9
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    """0-vortices outlive 1-vortices only when epsilon < e^{-2ks}."""
+
     pair_production_rate: float
     ratio_zero_to_one: float
     k: float
@@ -198,45 +198,6 @@ def _arrival_times(rng: np.random.Generator, rate: float, horizon: float,
             chunk += t_last
             yield chunk
         t_last += carry
-
-
-def _skip_gaps(rng: np.random.Generator, rate: float, horizon: float) -> None:
-    """Draw every gap ``_arrival_times(rng, rate, horizon)`` draws, and
-    leave ``rng`` in the same state.
-
-    Each batch is drawn into one reused buffer and summed pairwise, not
-    scaled and cumsummed, so the running total ``t`` only approximates
-    ``t_last``. A batch of n gaps is summed with n - 1 additions and one
-    scaling each way (the exact loop scales every gap, this pass the sum),
-    so each sum is within n eps of the exact one, and each
-    ``t_last += carry`` adds half an eps of ``t``: the two totals drift
-    apart by at most (2 n + 1) eps of ``t`` per batch. ``err`` adds
-    4 (n + 4) eps of ``t``, about twice that, which also covers the
-    rounding of the comparison with the horizon. When a batch ends within
-    ``err`` of the horizon, or ``t`` is within a factor two of the float
-    range, the generator is rewound and the gaps drawn the exact way,
-    which also raises where the exact way raises.
-    """
-    state = rng.bit_generator.state
-    batch, scale = _batch_size(rate, horizon), 1.0 / rate
-    buf = np.empty(min(batch, _CHUNK))
-    eps = float(np.finfo(float).eps)
-    t = err = 0.0
-    while True:
-        total = 0.0
-        for start in range(0, batch, _CHUNK):
-            part = buf[:min(_CHUNK, batch - start)]
-            rng.standard_exponential(out=part)
-            total += float(part.sum())
-        t += total * scale
-        err += 4.0 * (batch + 4) * eps * t
-        if not math.isfinite(2.0 * (t + err)) or abs(t - horizon) <= err:
-            rng.bit_generator.state = state
-            for _ in _arrival_times(rng, rate, horizon):
-                pass
-            return
-        if t > horizon:
-            return
 
 
 def _branch_chunks(arrivals, branch_rng: np.random.Generator, horizon: float,
@@ -417,11 +378,8 @@ def simulate(config: EnsembleConfig, sink=None) -> SimulationResult:
     sink they are returned as the result's ``bit_stream``.
     """
     rate, horizon = config.pair_production_rate, config.horizon
-    # Pass 1: every gap is drawn before the first branch uniform, so the
-    # uniforms start where the gaps of the last batch end.
-    branch_rng = np.random.default_rng(config.seed)
-    _skip_gaps(branch_rng, rate, horizon)
-    # Pass 2 draws the gaps again, with the uniforms alongside. When a batch
+    # The gaps come from the seed's generator, the branch uniforms from its
+    # first spawned child, so both are drawn in one pass. When a batch
     # spans more than one chunk, one executor thread draws the chunks, two
     # submitted ahead into buffers of their own, while the caller merges a
     # third. The arrivals generator is made here, so that a wrapper around
@@ -431,6 +389,8 @@ def simulate(config: EnsembleConfig, sink=None) -> SimulationResult:
                         out, config.digest_bits)
     batch = _batch_size(rate, horizon)
     slots = 3 if batch > _CHUNK else 1
+    branch_rng = np.random.default_rng(
+        np.random.SeedSequence(config.seed).spawn(1)[0])
     chunks = _branch_chunks(
         _arrival_times(np.random.default_rng(config.seed), rate, horizon,
                        slots),

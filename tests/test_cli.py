@@ -482,10 +482,29 @@ class TestBadInput:
         assert any(line.lower().startswith("error: cannot read params file:")
                    for line in proc.stderr.splitlines()), output
 
+    @pytest.mark.parametrize("command,params,key", [
+        pytest.param("trajectory", {"k": 1.0, "stpes": 5}, "stpes",
+                     id="trajectory"),
+        pytest.param("geometry", {"zmax": 9}, "zmax", id="geometry"),
+        pytest.param("ladder", {"eigenvalues": [1.0], "schedule": [1.0],
+                                "eigenvalue": [2.0]}, "eigenvalue", id="ladder"),
+        pytest.param("verify", {"cr_tol": 1e-3}, "cr_tol", id="verify"),
+        pytest.param("verify", {"grid": {"z": [1.0], "w": [1.0]}}, "w",
+                     id="verify-grid"),
+    ])
+    def test_unknown_key_is_a_usage_error(self, runner, tmp_path, command,
+                                          params, key):
+        result = runner.invoke(cli, [command, "--params",
+                                     write_params(tmp_path, params)])
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines()
+                  if line.startswith("Error:")]
+        assert len(errors) == 1 and f"unknown key {key!r}" in errors[0]
+
     def test_ensemble_gap_sum_overflow_is_one_error_line(self, tmp_path):
         # The arrival times pass the float range before the horizon.
-        path = write_params(tmp_path, {**ENSEMBLE, "pair_production_rate": 1.5e-302,
-                                       "horizon": 1.7e308, "seed": 1})
+        path = write_params(tmp_path, {**ENSEMBLE, "pair_production_rate": 1e-302,
+                                       "horizon": 1.79e308, "seed": 1})
         proc = run_cli_process("ensemble", "--params", path)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.splitlines() == [

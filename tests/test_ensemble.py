@@ -33,8 +33,9 @@ def make_config(**kw):
     return EnsembleConfig(**base)
 
 
-# Reference engine: the argsort-based simulate, kept verbatim so the merge
-# engine can be held to byte-identical reports and bit streams.
+# Reference engine: the argsort-based simulate, kept verbatim but for the
+# branch uniforms, drawn from the seed's first spawned generator, so the
+# merge engine can be held to byte-identical reports and bit streams.
 def _oracle_arrival_times(rng: np.random.Generator, rate: float,
                           horizon: float) -> np.ndarray:
     """Poisson arrival times on [0, horizon), batched exponential gaps."""
@@ -58,7 +59,8 @@ def oracle_simulate(config: EnsembleConfig) -> SimulationResult:
     rng = np.random.default_rng(config.seed)
     arrivals = _oracle_arrival_times(rng, config.pair_production_rate,
                                      config.horizon)
-    is_zero = rng.random(arrivals.size) < config.prob_zero
+    is_zero = np.random.default_rng(np.random.SeedSequence(
+        config.seed).spawn(1)[0]).random(arrivals.size) < config.prob_zero
     lifetimes = np.where(is_zero, config.zero_lifetime, config.one_lifetime)
     emission_times = arrivals + lifetimes
     emitted_mask = emission_times <= config.horizon
@@ -391,7 +393,7 @@ class TestEngineEdges:
         none_zero = assert_matches_oracle(make_config(ratio_zero_to_one=0.0))
         assert none_zero.report.produced_zero == 0
         none_one = assert_matches_oracle(make_config(
-            ratio_zero_to_one=1e3, pair_production_rate=50.0, seed=0))
+            ratio_zero_to_one=1e3, pair_production_rate=50.0, seed=2))
         assert none_one.report.produced_one == 0
 
     def test_horizon_inside_first_batch(self):
@@ -405,6 +407,14 @@ class TestEngineEdges:
         assert_matches_oracle(make_config(pair_production_rate=rate,
                                           horizon=horizon))
 
+    def test_sum_past_the_float_range_is_a_domain_error(self):
+        cfg = EnsembleConfig(pair_production_rate=1e-302,
+                             ratio_zero_to_one=1.0, k=1.0, s=1.0, beta=1.0,
+                             horizon=1.79e308, seed=1)
+        with pytest.raises(DomainError, match="overflows the float range"):
+            with float_range("ensemble"):
+                simulate(cfg)
+
     def test_a_million_events(self):
         cfg = make_config(pair_production_rate=5e4, ratio_zero_to_one=2.0,
                           seed=11)
@@ -412,108 +422,6 @@ class TestEngineEdges:
         batch = int(cfg.pair_production_rate * cfg.horizon * 0.1) + 64
         assert old.report.produced > 9 * batch  # ten arrival batches
         assert old.report.emitted > 500_000
-
-
-def exact_state(rng, rate, horizon):
-    """The generator state after the exact loop draws every gap."""
-    for _ in ensemble._arrival_times(rng, rate, horizon):
-        pass
-    return rng.bit_generator.state
-
-
-@pytest.fixture
-def exact_runs(monkeypatch):
-    """Counts the calls of _arrival_times, the exact loop pass 1 falls back
-    to."""
-    calls = []
-    arrival_times = ensemble._arrival_times
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return arrival_times(*args, **kwargs)
-
-    monkeypatch.setattr(ensemble, "_arrival_times", counting)
-    return calls
-
-
-class TestSkipGaps:
-    """Pass 1 sums the gaps, and leaves the generator where the exact loop
-    does."""
-
-    def test_state_matches_the_exact_loop(self, monkeypatch, exact_runs):
-        rng = np.random.default_rng(99)
-        placed = {"below": 0, "at": 0, "above": 0}
-        for seed in range(210):
-            rate = float(10.0 ** rng.uniform(-3.0, 6.0))
-            horizon = float(rng.uniform(100.0, 12_000.0)) / rate
-            batch = ensemble._batch_size(rate, horizon)
-            where = ("below", "at", "above")[seed % 3]
-            chunk = {"below": batch + 1 + seed, "at": batch,
-                     "above": max(batch // (2 + seed % 5), 1)}[where]
-            monkeypatch.setattr(ensemble, "_CHUNK", chunk)
-            got = np.random.default_rng(seed)
-            ensemble._skip_gaps(got, rate, horizon)
-            # No batch ended near the horizon: the summing path ran.
-            assert exact_runs == []
-            want = exact_state(np.random.default_rng(seed), rate, horizon)
-            assert got.bit_generator.state == want, (seed, rate, horizon)
-            exact_runs.clear()
-            placed[where] += 1
-        assert min(placed.values()) == 70
-
-    @pytest.mark.parametrize("rate,horizon", [(7e4, 10.0), (3.3e5, 2.5)])
-    def test_batches_longer_than_a_chunk(self, rate, horizon, exact_runs):
-        assert ensemble._batch_size(rate, horizon) > ensemble._CHUNK
-        got = np.random.default_rng(4)
-        ensemble._skip_gaps(got, rate, horizon)
-        assert exact_runs == []
-        assert got.bit_generator.state == exact_state(
-            np.random.default_rng(4), rate, horizon)
-
-    @pytest.mark.parametrize("chunk", [1 << 16, 300, 1024])
-    @pytest.mark.parametrize("end", [0, 1, 2])
-    def test_near_ties_fall_back(self, monkeypatch, exact_runs, chunk, end):
-        # A batch of 1,024 gaps for any horizon below 96 at rate 100, one
-        # chunk each at the default chunk size: the horizon is set to an
-        # exact batch end and to its neighbours.
-        rate = 100.0
-        ends = [c[-1] for c in ensemble._arrival_times(
-            np.random.default_rng(8), rate, 50.0)]
-        tie = float(ends[end])
-        monkeypatch.setattr(ensemble, "_CHUNK", chunk)
-        states = []
-        for horizon in (np.nextafter(tie, 0.0), tie, np.nextafter(tie, np.inf)):
-            horizon = float(horizon)
-            assert ensemble._batch_size(rate, horizon) == 1024
-            exact_runs.clear()
-            got = np.random.default_rng(8)
-            ensemble._skip_gaps(got, rate, horizon)
-            assert len(exact_runs) == 1  # the fallback ran
-            want = exact_state(np.random.default_rng(8), rate, horizon)
-            assert got.bit_generator.state == want
-            states.append(want)
-        # At the batch end and below it the loop stops; just above, it
-        # draws one more batch.
-        assert states[0] == states[1] != states[2]
-
-    def test_totals_near_the_float_range_fall_back(self, exact_runs):
-        # One batch of 1,024 gaps of mean 1e305 sums to about 1e308, past
-        # half the float range: the exact loop decides, and does not raise.
-        rate, horizon = 1e-305, 1e307
-        got = np.random.default_rng(3)
-        ensemble._skip_gaps(got, rate, horizon)
-        assert len(exact_runs) == 1
-        assert got.bit_generator.state == exact_state(
-            np.random.default_rng(3), rate, horizon)
-
-    def test_sum_past_the_float_range_is_a_domain_error(self, exact_runs):
-        cfg = EnsembleConfig(pair_production_rate=1.5e-302,
-                             ratio_zero_to_one=1.0, k=1.0, s=1.0, beta=1.0,
-                             horizon=1.7e308, seed=1)
-        with pytest.raises(DomainError, match="overflows the float range"):
-            with float_range("ensemble"):
-                simulate(cfg)
-        assert len(exact_runs) == 1  # pass 1 fell back, and raised
 
 
 @pytest.fixture
@@ -666,29 +574,29 @@ class TestDrawnAhead:
         assert proc.stdout == "False\n", proc.stderr
 
 
-# sha256 of the bit stream and of the report JSON, recorded with the
-# one-buffer engine this streaming engine replaced.
+# sha256 of the bit stream and of the report JSON, computed from
+# oracle_simulate's output.
 GOLDEN = [
-    ({}, "1ba7d59547802e2f121f3f918738ab095ad74f1fbfa79a4a6b5eea7e8d23874c",
-     "da67ad345a6088915609d69d51ebe4fbc09a2a77b59a73fb16227efdf9ffd2f0"),
+    ({}, "4a354175725a9823079525628867a8b50b848d403f377708910c560ac32bd5e3",
+     "077382741de73071da2d5927ac394ac67406b357c3472c210dedaed0319b6036"),
     # 1-vortices outlive 0-vortices: the 1-branch waits.
     ({"epsilon": EPS_ZERO_FIRST, "pair_production_rate": 2e4, "seed": 3},
-     "3b820e23b62a6fea8fa6c92ac768c26d9999ed0da7ad2b131b3faccfd1501ba1",
-     "1c42b447a5422aef7a6e81453028074f3cf16596557d491a80cb5ca2ef75669f"),
+     "136706cceb0da13881249f15d93008280992fc922633f520e01d7cc98199fd8c",
+     "9365049cf35cde9b7e9b3ca66fe1d8f14ce88d61be7d9a1b092b23a1be2442a9"),
     # The paper's ratio at ks = 0.35, a million events over ten batches.
     ({"ratio_zero_to_one": 2.04, "k": 0.5, "s": 0.7, "beta": 1.3,
       "horizon": 40.0, "pair_production_rate": 25000.0, "seed": 1001},
-     "61f3e0ea109b0465bdb5c7ee4be8a99abfca0c9b50802cf3115c5542350785bf",
-     "973007d391828b13211bebb3ff5f7a3c8a99d5db9d4eb26c0e0c27c2a5526602"),
+     "72be7dfef01b8cae54a734bd8d7ccdfeb7805cb17d3117fdd3883608b1db0fa7",
+     "37629d2e02c1affed8d0105da7a87b7d5de721b4b00f26ccd4436652d79a427f"),
     ({"ratio_zero_to_one": 47.209, "pair_production_rate": 5000.0,
       "horizon": 60.0, "seed": 5},
-     "49611b17b5efcb9eaec5198f7de84b602769e82b84216425eb72e697d46dc88d",
-     "45e235dd63c7c1dae56ebc678cee9cee81c161436c983b5fc1d734091564635c"),
-    # A digest longer than the stream of 538,360 bits.
+     "2479b6c51dc16fdc81c13e8d2c8f040a03b01fa666ab9c3a21c2e31708c74907",
+     "2f3a0c3fd6eb98306c8f0b964ed18dccfaeecb545c8d3b68c09e511d0fb13160"),
+    # A digest longer than the stream of 538,262 bits.
     ({"pair_production_rate": 2e5, "horizon": 5.0, "digest_bits": 10 ** 6,
       "seed": 21},
-     "4187db45e3b854a68b5ccf450b4c74f9e7696f7cf2c9356fc38ca8d6d1470745",
-     "0b21a5adb63de5935735914a50f799718ee7de1e85bbffed6cb68dec89d6695a"),
+     "d5ca6394b8babe7429bc3be1b3b298e771485ab38e9bd0319c074fdd2bc68b02",
+     "2fe63cbdf34377b269816028ab3e3995aba833c4f932825cc889fc3e9d465a09"),
 ]
 
 
@@ -697,8 +605,8 @@ def sha256(text: str) -> str:
 
 
 class TestStream:
-    """Bits written to a sink as they are merged: the same bytes as before,
-    in memory set by the lifetime gap."""
+    """Bits written to a sink as they are merged: the oracle's bytes, in
+    memory set by the lifetime gap."""
 
     @pytest.mark.parametrize("kw,bits_sha,report_sha", GOLDEN)
     def test_golden(self, kw, bits_sha, report_sha):

@@ -4,15 +4,21 @@ recorded before the unused API was deleted and the output was streamed.
 
 The hashes are of floating-point text, so they hold for a numpy and libm
 that round as the recording host's did (Python 3.11, numpy 2.4, glibc).
+The ensemble hashes are of the argsort oracle's output in
+``tests/test_ensemble.py``.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
+import zvortex
 from zvortex.cli import cli
 from zvortex.tables import BLOCK_ROWS
 
@@ -35,8 +41,8 @@ CASES = {
 }
 
 GOLDEN = {
-    ("ensemble", "csv"): "b0f5d20dc387b9cba9594d393e5d70823c812fbea508cebcf8bbf3d33110cd3c",
-    ("ensemble", "json"): "57c92ceb7853902d431b18d4ecdc23bbd6854987c6653e9f85e7d6079b94ac7a",
+    ("ensemble", "csv"): "ddfe4778b31cbb7ad875c2d098d520d9f89f9e2e2c7697138f8fe53d5f0a817c",
+    ("ensemble", "json"): "70f3dc142e3f08367a4df6c56915c04d8839a1901f0fc158d5668bfcc083e456",
     ("geometry", "csv"): "2eb555c92c4a5dc5b305c1ec5b49a5c8668ef2b69dcac66e1f999962e16f4750",
     ("geometry", "json"): "bbc214e184f3b51aa7c7dcd7adbe542d8fc89c4fe037ed362ba5c2e6fe0daaaa",
     ("ladder", "csv"): "38b3442f5e7877c3df1b9c761480602770ded94cef131fbbe9d95d6b1b157e4e",
@@ -45,7 +51,7 @@ GOLDEN = {
     ("trajectory", "json"): "b02fefb21d3c3637936b5ea95de16a0b0a05f2e5733ab2b6ab1f2891f7a3e4e7",
     ("verify", "csv"): "c4afeab712b735a5077dc1448e38d80aa5e1dfa6d1b9aaa417adb463712d02eb",
     ("verify", "json"): "3632516868a11d5d150376655b773f8f332e562fe95482964cac3764185154a0",
-    "bits": "3d3d286b84bb6a98cbb528be2cc5b7e814e1ca5561502cf591abce1771302fa7",
+    "bits": "38da82b993495ac220ff179d5d567c8d14d74bfc6272fb0087a8157307041fd4",
 }
 
 
@@ -82,6 +88,31 @@ def test_bits_file(tmp_path):
                                       write_params(tmp_path, ENSEMBLE),
                                       "--bits-out", str(bits)])
     assert result.exit_code == 0, result.output
+    assert hashlib.sha256(bits.read_bytes()).hexdigest() == GOLDEN["bits"]
+
+
+def test_ensemble_bytes_at_baseline_simd_dispatch(tmp_path):
+    """The ensemble reports and bits hash the same when numpy runs its
+    baseline code: a child process disables every SIMD dispatch target
+    (X86_V3, X86_V4 and the AVX-512 groups on x86-64 with numpy 2.4)."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    if not (umath.__cpu_features__.get("X86_V3")
+            and umath.__cpu_features__.get("X86_V4")):
+        pytest.skip("the host has no X86_V3 and X86_V4 code to disable")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(umath.__cpu_dispatch__),
+           "PYTHONPATH": os.path.dirname(os.path.dirname(zvortex.__file__))}
+    child = ("from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+             "assert not any(f[name] for name in ('X86_V3', 'X86_V4'))\n"
+             "from zvortex.cli import main\n"
+             "main()\n")
+    params, bits = write_params(tmp_path, ENSEMBLE), tmp_path / "bits.txt"
+    for fmt, extra in (("csv", []), ("json", ["--bits-out", str(bits)])):
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "ensemble", "--format", fmt,
+             "--params", params, *extra],
+            capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["ensemble", fmt]
     assert hashlib.sha256(bits.read_bytes()).hexdigest() == GOLDEN["bits"]
 
 
