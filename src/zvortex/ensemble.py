@@ -12,18 +12,20 @@ at the same instant keep the order in which their vortices were produced
 (arrival index). With only two lifetimes, each branch's emission times
 inherit the arrival order, so the stream is a merge of two sorted runs.
 
-simulate makes one pass. The exponential gaps come from
-``np.random.default_rng(seed)``, and the branch uniforms from a generator of
-their own, seeded with the first child that ``SeedSequence(seed)`` spawns,
-so a seed's arrival times do not depend on the branch draws. Both are drawn
-in chunks of 2^16 arrivals, and after each chunk every bit that no later
-arrival can precede is merged and written. When a gap batch spans more
-than one chunk (rate * horizon above about 6.5e5), the chunks are drawn on
-one executor thread, with two draws submitted ahead of the merge; numpy
-fills its draws without the GIL. Each generator is drawn from by one
-thread, in the same order, so the bits do not depend on the thread.
-Memory is therefore set by the lifetime gap, not by the number of events:
-what waits is the longer-lived branch's emissions, about
+simulate makes one pass over one chunk generator, ``_arrival_times``. For
+each chunk of up to 2^16 arrivals it draws the exponential gaps from
+``np.random.default_rng(seed)``, cuts the chunk that reaches the horizon
+there, and draws the chunk's branch uniforms, one per arrival, from a
+generator of their own, seeded with the first child that
+``SeedSequence(seed)`` spawns, so a seed's arrival times do not depend on
+the branch draws. When a gap batch spans more than one chunk
+(rate * horizon above about 6.5e5), the chunks are drawn on one executor
+thread, with two draws submitted ahead of the merge; numpy fills its draws
+without the GIL. Each generator is drawn from by one thread, in the same
+order, so the bits do not depend on the thread. ``_BitStream`` takes each
+chunk in turn, and merges and writes every bit that no later arrival can
+precede. Memory is therefore set by the lifetime gap, not by the number of
+events: what waits is the longer-lived branch's emissions, about
 rate * p_b * min(|L0 - L1|, horizon) entries of 8 or 16 bytes. An arrival
 time past the float range raises once the bits before it are written.
 """
@@ -167,56 +169,53 @@ def _batch_size(rate: float, horizon: float) -> int:
     return max(int(rate * horizon * 0.1) + 64, 1024)
 
 
-def _arrival_times(rng: np.random.Generator, rate: float, horizon: float,
-                   slots: int = 1):
-    """Poisson arrival times from batched exponential gaps, in chunks.
+def _arrival_times(config: EnsembleConfig, slots: int = 1):
+    """Poisson arrivals to the horizon with their branches, in chunks:
+    ``(times, is_zero, final)``, up to and including the ``final`` chunk,
+    the first that reaches the horizon, which is cut there.
 
-    Gaps are drawn in batches of ``_batch_size(rate, horizon)``, up to and
-    including the first batch that ends at or past the horizon. Each
-    batch's arrival times are
+    Gaps come from ``np.random.default_rng(seed)`` in batches of
+    ``_batch_size(rate, horizon)``. Each batch's arrival times are
     ``t_last + np.cumsum(rng.exponential(1 / rate, batch))``, bit for bit:
     a batch is drawn in chunks of at most ``_CHUNK`` gaps, and a chunk's
     cumsum continues the one before when the carry is added to its first
-    gap. Each chunk is yielded as it is drawn; none spans two batches.
-    The chunks are drawn into ``slots`` buffers in turn, so a chunk keeps
-    its values only until ``slots`` more have been drawn.
+    gap; no chunk spans two batches. A chunk's branches take one uniform
+    per arrival from the seed's first spawned generator: a 0-vortex when
+    it is below ``prob_zero``. The chunks are drawn into ``slots``
+    (times, is_zero) buffer pairs in turn, so a chunk keeps its values only
+    until ``slots`` more have been drawn.
     """
+    rate, horizon = config.pair_production_rate, config.horizon
     batch = _batch_size(rate, horizon)
-    scale = 1.0 / rate
-    ring = itertools.cycle([np.empty(min(batch, _CHUNK)) for _ in range(slots)])
+    size, scale, prob_zero = min(batch, _CHUNK), 1.0 / rate, config.prob_zero
+    rng = np.random.default_rng(config.seed)
+    branch_rng = np.random.default_rng(
+        np.random.SeedSequence(config.seed).spawn(1)[0])
+    uniforms = np.empty(size)
+    ring = itertools.cycle([(np.empty(size), np.empty(size, bool))
+                            for _ in range(slots)])
     t_last = 0.0
     while t_last < horizon:
         carry = 0.0
         for start in range(0, batch, _CHUNK):
-            chunk = next(ring)[:min(_CHUNK, batch - start)]
-            # The same bits as rng.exponential(scale, chunk.size).
-            rng.standard_exponential(out=chunk)
-            chunk *= scale
-            chunk[0] += carry
-            np.cumsum(chunk, out=chunk)
-            carry = chunk[-1]
-            chunk += t_last
-            yield chunk
+            times, is_zero = next(ring)
+            times = times[:min(_CHUNK, batch - start)]
+            # The same bits as rng.exponential(scale, times.size).
+            rng.standard_exponential(out=times)
+            times *= scale
+            times[0] += carry
+            np.cumsum(times, out=times)
+            carry = times[-1]
+            times += t_last
+            final = times[-1] >= horizon
+            if final:
+                times = times[:int(np.searchsorted(times, horizon, "left"))]
+            u = uniforms[:times.size]
+            branch_rng.random(out=u)
+            yield times, np.less(u, prob_zero, out=is_zero[:u.size]), final
+            if final:
+                return
         t_last += carry
-
-
-def _branch_chunks(arrivals, branch_rng: np.random.Generator, horizon: float,
-                   prob_zero: float, size: int, slots: int = 1):
-    """Each chunk of ``arrivals`` cut at the horizon, with its branches:
-    ``(times, is_zero, final)``, up to and including the ``final`` chunk,
-    the first that reaches the horizon. ``size`` is the longest chunk; the
-    branches are drawn into ``slots`` buffers in turn, as the times are."""
-    uniforms = np.empty(size)
-    ring = itertools.cycle([np.empty(size, bool) for _ in range(slots)])
-    for times in arrivals:
-        final = times[-1] >= horizon
-        if final:
-            times = times[:int(np.searchsorted(times, horizon, "left"))]
-        u = uniforms[:times.size]
-        branch_rng.random(out=u)
-        yield times, np.less(u, prob_zero, out=next(ring)[:times.size]), final
-        if final:
-            return
 
 
 def _drawn_ahead(items):
@@ -377,24 +376,18 @@ def simulate(config: EnsembleConfig, sink=None) -> SimulationResult:
     The bits go to ``sink``, a binary file, as they are merged; without a
     sink they are returned as the result's ``bit_stream``.
     """
-    rate, horizon = config.pair_production_rate, config.horizon
-    # The gaps come from the seed's generator, the branch uniforms from its
-    # first spawned child, so both are drawn in one pass. When a batch
-    # spans more than one chunk, one executor thread draws the chunks, two
-    # submitted ahead into buffers of their own, while the caller merges a
-    # third. The arrivals generator is made here, so that a wrapper around
-    # _arrival_times, such as a profiler's, runs on the caller's thread.
+    # _arrival_times draws each chunk's gaps and branch uniforms in one
+    # pass. When a batch spans more than one chunk, one executor thread
+    # draws the chunks, two submitted ahead into buffer pairs of their own,
+    # while the caller merges a third. The generator is made here, so that
+    # a wrapper around _arrival_times, such as a profiler's, runs on the
+    # caller's thread.
     out = io.BytesIO() if sink is None else sink
-    stream = _BitStream(config.zero_lifetime, config.one_lifetime, horizon,
-                        out, config.digest_bits)
-    batch = _batch_size(rate, horizon)
-    slots = 3 if batch > _CHUNK else 1
-    branch_rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed).spawn(1)[0])
-    chunks = _branch_chunks(
-        _arrival_times(np.random.default_rng(config.seed), rate, horizon,
-                       slots),
-        branch_rng, horizon, config.prob_zero, min(batch, _CHUNK), slots)
+    stream = _BitStream(config.zero_lifetime, config.one_lifetime,
+                        config.horizon, out, config.digest_bits)
+    slots = 3 if _batch_size(config.pair_production_rate,
+                             config.horizon) > _CHUNK else 1
+    chunks = _arrival_times(config, slots)
     if slots > 1:
         chunks = _drawn_ahead(chunks)
     with contextlib.closing(chunks):

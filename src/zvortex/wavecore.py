@@ -195,6 +195,14 @@ def _contour_nodes(center: CParam, radius: float, n_points: int):
     return center.x + offset.real, center.y + offset.imag, 1j * offset * dtheta
 
 
+def _contour_sum(re, im, dc) -> complex:
+    """sum((re + i im) * dc) over the nodes, in real arithmetic, so that no
+    complex kernel, which numpy picks by the host's SIMD features, sets a
+    digit."""
+    return complex(np.sum(re * dc.real - im * dc.imag),
+                   np.sum(re * dc.imag + im * dc.real))
+
+
 def contour_integral(
     z: float, center: CParam, radius: float, n_points: int = 1024
 ) -> ContourResult:
@@ -206,9 +214,9 @@ def contour_integral(
     periodic integrand makes the trapezoid rule spectrally accurate.
     """
     x, y, dc = _contour_nodes(center, radius, n_points)
-    total = np.sum(psi_values(z, x, y) * dc)
+    psi = psi_values(z, x, y)
     return ContourResult(
-        value=WaveValue.from_complex(complex(total)),
+        value=WaveValue.from_complex(_contour_sum(psi.real, psi.imag, dc)),
         accuracy_warning=n_points < MIN_CONTOUR_POINTS,
     )
 
@@ -223,8 +231,12 @@ def cauchy_formula(
     x, y, dc = _contour_nodes(center, radius, n_points)
     if math.hypot(a.x - center.x, a.y - center.y) >= radius:
         raise DomainError("evaluation point must lie strictly inside the contour")
-    total = np.sum(psi_values(z, x, y) / (x - a.x + 1j * (y - a.y)) * dc)
-    return WaveValue.from_complex(complex(total) / (2j * math.pi))
+    # psi / (dx + i dy) = psi (dx - i dy) / (dx^2 + dy^2).
+    psi, dx, dy = psi_values(z, x, y), x - a.x, y - a.y
+    d2 = dx * dx + dy * dy
+    total = _contour_sum((psi.real * dx + psi.imag * dy) / d2,
+                         (psi.imag * dx - psi.real * dy) / d2, dc)
+    return WaveValue.from_complex(total / (2j * math.pi))
 
 
 def normalizability(z: float, x: float) -> NormalizabilityKind:

@@ -398,11 +398,12 @@ class TestEngineEdges:
 
     def test_horizon_inside_first_batch(self):
         rate, horizon = 2.0, 3.0
-        new = np.concatenate([chunk.copy() for chunk in ensemble._arrival_times(
-            np.random.default_rng(1), rate, horizon)])
+        cfg = make_config(pair_production_rate=rate, horizon=horizon, seed=1)
+        chunks = list(ensemble._arrival_times(cfg))
+        assert ensemble._batch_size(rate, horizon) == 1024
+        assert len(chunks) == 1 and chunks[0][2]  # one batch, cut: final
         old = _oracle_arrival_times(np.random.default_rng(1), rate, horizon)
-        assert new.size == 1024  # the first batch holds 1024 gaps
-        assert new[new < horizon].tobytes() == old.tobytes()
+        assert chunks[0][0].tobytes() == old.tobytes()
         assert 0 < old.size < 1024
         assert_matches_oracle(make_config(pair_production_rate=rate,
                                           horizon=horizon))
@@ -608,7 +609,10 @@ class TestStream:
     """Bits written to a sink as they are merged: the oracle's bytes, in
     memory set by the lifetime gap."""
 
-    @pytest.mark.parametrize("kw,bits_sha,report_sha", GOLDEN)
+    # Each case is named by its seed, which no two cases share, so that a
+    # re-recorded hash renames no test.
+    @pytest.mark.parametrize("kw,bits_sha,report_sha", GOLDEN, ids=[
+        f"seed{make_config(**kw).seed}" for kw, _, _ in GOLDEN])
     def test_golden(self, kw, bits_sha, report_sha):
         result = simulate(make_config(**kw))
         assert sha256(result.bit_stream) == bits_sha

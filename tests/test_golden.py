@@ -3,7 +3,8 @@ the same bytes on stdout and through ``--out``, and they hash to the sha256
 recorded before the unused API was deleted and the output was streamed.
 
 The hashes are of floating-point text, so they hold for a numpy and libm
-that round as the recording host's did (Python 3.11, numpy 2.4, glibc).
+that round as the recording host's did (Python 3.11, numpy 2.4, glibc), at
+any of numpy's x86-64 SIMD dispatch targets.
 The ensemble hashes are of the argsort oracle's output in
 ``tests/test_ensemble.py``.
 """
@@ -49,8 +50,8 @@ GOLDEN = {
     ("ladder", "json"): "62dc51952aea7c5b4187d7a281760f67923e677a898fba9423f9f65d72997beb",
     ("trajectory", "csv"): "87a5709a9a14319e0c52d9d8eded7d6bd281dd765d8524de3392f09cf04793e3",
     ("trajectory", "json"): "b02fefb21d3c3637936b5ea95de16a0b0a05f2e5733ab2b6ab1f2891f7a3e4e7",
-    ("verify", "csv"): "c4afeab712b735a5077dc1448e38d80aa5e1dfa6d1b9aaa417adb463712d02eb",
-    ("verify", "json"): "3632516868a11d5d150376655b773f8f332e562fe95482964cac3764185154a0",
+    ("verify", "csv"): "3f12a23fad4c5f88f01ece0df07048c025fbb008b0deb345ebae831abd7989a4",
+    ("verify", "json"): "106bebf2adefadcf7b18b2595ba05ed48592426e1fc808c2d0869d5087c7d101",
     "bits": "38da82b993495ac220ff179d5d567c8d14d74bfc6272fb0087a8157307041fd4",
 }
 
@@ -92,27 +93,32 @@ def test_bits_file(tmp_path):
 
 
 def test_ensemble_bytes_at_baseline_simd_dispatch(tmp_path):
-    """The ensemble reports and bits hash the same when numpy runs its
-    baseline code: a child process disables every SIMD dispatch target
-    (X86_V3, X86_V4 and the AVX-512 groups on x86-64 with numpy 2.4)."""
+    """The verify and ensemble outputs and the bits hash the same when
+    numpy runs its baseline code: a child process disables every SIMD
+    dispatch target the host has (on x86-64 with numpy 2.4, X86_V3, X86_V4
+    and the AVX-512 groups) and checks that none is left enabled."""
     umath = pytest.importorskip("numpy._core._multiarray_umath")
-    if not (umath.__cpu_features__.get("X86_V3")
-            and umath.__cpu_features__.get("X86_V4")):
-        pytest.skip("the host has no X86_V3 and X86_V4 code to disable")
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(umath.__cpu_dispatch__),
+    targets = [name for name in umath.__cpu_dispatch__
+               if umath.__cpu_features__.get(name)]
+    if not targets:
+        pytest.skip("the host has no SIMD dispatch target to disable")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
            "PYTHONPATH": os.path.dirname(os.path.dirname(zvortex.__file__))}
-    child = ("from numpy._core._multiarray_umath import __cpu_features__ as f\n"
-             "assert not any(f[name] for name in ('X86_V3', 'X86_V4'))\n"
+    child = ("from numpy._core._multiarray_umath import __cpu_dispatch__, "
+             "__cpu_features__ as f\n"
+             "assert not any(f.get(name) for name in __cpu_dispatch__)\n"
              "from zvortex.cli import main\n"
              "main()\n")
     params, bits = write_params(tmp_path, ENSEMBLE), tmp_path / "bits.txt"
-    for fmt, extra in (("csv", []), ("json", ["--bits-out", str(bits)])):
+    cases = [("verify", fmt, []) for fmt in ("csv", "json")] + [
+        ("ensemble", "csv", ["--params", params]),
+        ("ensemble", "json", ["--params", params, "--bits-out", str(bits)])]
+    for command, fmt, extra in cases:
         proc = subprocess.run(
-            [sys.executable, "-c", child, "ensemble", "--format", fmt,
-             "--params", params, *extra],
+            [sys.executable, "-c", child, command, "--format", fmt, *extra],
             capture_output=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr.decode()
-        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["ensemble", fmt]
+        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[command, fmt]
     assert hashlib.sha256(bits.read_bytes()).hexdigest() == GOLDEN["bits"]
 
 
