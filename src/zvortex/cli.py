@@ -247,7 +247,7 @@ def _verify_checks(params: dict, phys: sf.PhysicalParams) -> list[dict]:
             center = CParam(cx, cy)
             res = wc.contour_integral(z, center, radius)
             max_psi = max(abs(z ** (cx + radius)), abs(z ** (cx - radius)))
-            ct_max = max(ct_max, res.value.magnitude() / max_psi)
+            ct_max = max(ct_max, res.magnitude() / max_psi)
             a = CParam(cx + 0.3 * radius, cy - 0.2 * radius)
             rec = wc.cauchy_formula(z, a, center, radius)
             exact = wc.eval_psi(z, a)

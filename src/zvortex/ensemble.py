@@ -7,10 +7,12 @@ s/(3 k beta); a 0-vortex emits bit 0 when its field first drops below the
 threshold epsilon, at creation time + (ln(1/eps) - k s)/(3 k^2 beta).
 Everything is deterministic given the seed.
 
-The bit stream lists the emitted bits in emission-time order; bits emitted
-at the same instant keep the order in which their vortices were produced
-(arrival index). With only two lifetimes, each branch's emission times
-inherit the arrival order, so the stream is a merge of two sorted runs.
+The bit stream lists the emitted bits in emission-time order. With only
+two lifetimes, each branch's emission times inherit the arrival order, so
+the stream is a merge of two sorted runs. Bits emitted at the same instant
+go longer-lived branch first, 0-bits first when L0 == L1: unless the
+lifetimes differ by no more than the rounding of the emission times, the
+tied longer-lived vortex was produced first.
 
 simulate makes one pass over one chunk generator, ``_arrival_times``. For
 each chunk of up to 2^16 arrivals it draws the exponential gaps from
@@ -26,7 +28,7 @@ order, so the bits do not depend on the thread. ``_BitStream`` takes each
 chunk in turn, and merges and writes every bit that no later arrival can
 precede. Memory is therefore set by the lifetime gap, not by the number of
 events: what waits is the longer-lived branch's emissions, about
-rate * p_b * min(|L0 - L1|, horizon) entries of 8 or 16 bytes. An arrival
+rate * p_b * min(|L0 - L1|, horizon) emission times of 8 bytes. An arrival
 time past the float range raises once the bits before it are written.
 """
 
@@ -51,9 +53,9 @@ from .wavecore import DomainError, _require_positive
 # The largest expected number of productions, pair_production_rate * horizon,
 # that a run accepts. It bounds run time, about 26 ns per event on a 2-CPU
 # host (under a minute at the cap), not memory: with a sink, simulate holds
-# only the emissions pending within the lifetime gap. Without one, the
-# returned bit stream takes a byte per emitted bit, and as much again while
-# it is built.
+# only the emissions pending within the lifetime gap, 8 bytes each. Without
+# one, the returned bit stream takes a byte per emitted bit, and as much
+# again while it is built.
 MAX_EXPECTED_EVENTS = 1e9
 
 
@@ -239,62 +241,49 @@ def _drawn_ahead(items):
             yield item
 
 
-def _merge_bits(t0: np.ndarray, t1: np.ndarray, arrival1: np.ndarray,
-                placed: int = 0) -> np.ndarray:
+def _merge_bits(t0: np.ndarray, t1: np.ndarray, side: str) -> np.ndarray:
     """Merge runs of both branches' emissions into the ordered bit bytes.
 
-    ``t0`` and ``t1`` are the sorted emission times of consecutive 0- and
-    1-vortices in arrival order, and ``arrival1`` holds the arrival index
-    of each 1-vortex. They follow the ``placed`` bits already merged, which
-    are the earlier vortices of both branches. A 1-bit lands after every
-    earlier 0-bit and every earlier 1-bit; a 0-bit emitted at the same
-    instant goes first when its vortex arrived first. The result holds one
-    ASCII ``0`` or ``1`` per bit. A flush holds about one chunk of
-    arrivals' emissions, so one ``searchsorted`` places every 1-bit.
+    ``t0`` and ``t1`` are the sorted emission times of 0- and 1-vortices.
+    At one instant the longer-lived branch's bits go first: ``side`` is
+    "right" (1-bits after tied 0-bits) when L0 >= L1 and "left" otherwise.
+    The result holds one ASCII ``0`` or ``1`` per bit. A flush holds about
+    one chunk of arrivals' emissions, so one ``searchsorted`` places every
+    1-bit.
     """
     bits = np.full(t0.size + t1.size, ord("0"), dtype=np.uint8)
-    before = np.searchsorted(t0, t1, "left")
-    if t0.size:
-        tied = np.flatnonzero(t0[np.minimum(before, t0.size - 1)] == t1)
-        if tied.size:
-            last = np.searchsorted(t0, t1[tied], "right")
-            # A 1-vortex of arrival index A that follows j 1-vortices
-            # arrived after A - j 0-vortices.
-            arrived = arrival1[tied] - tied - placed
-            before[tied] = np.clip(arrived, before[tied], last)
+    before = np.searchsorted(t0, t1, side)
     before += np.arange(t1.size)
     bits[before] = ord("1")
     return bits
 
 
 class _Pending:
-    """Emitted vortices of one branch waiting to be merged, in arrival
-    order: a queue of column tuples, the first column the emission time."""
+    """Emission times of one branch waiting to be merged, in arrival order:
+    a queue of sorted float arrays."""
 
-    def __init__(self, *dtypes):
-        self.dtypes = dtypes
+    def __init__(self):
         self.parts: deque = deque()
 
-    def push(self, *columns):
-        if columns[0].size:
-            self.parts.append(columns)
+    def push(self, times: np.ndarray) -> None:
+        if times.size:
+            self.parts.append(times)
 
-    def pop_before(self, cut: float) -> tuple:
-        """Remove and return the columns of the entries emitted before cut."""
+    def pop_before(self, cut: float) -> np.ndarray:
+        """Remove and return the emission times before cut."""
         taken = []
         while self.parts:
             part = self.parts[0]
-            n = int(np.searchsorted(part[0], cut, "left"))
-            if n < part[0].size:
+            n = int(np.searchsorted(part, cut, "left"))
+            if n < part.size:
                 if n:
-                    taken.append(tuple(c[:n] for c in part))
-                    self.parts[0] = tuple(c[n:] for c in part)
+                    taken.append(part[:n])
+                    self.parts[0] = part[n:]
                 break
             taken.append(self.parts.popleft())
         if len(taken) == 1:
             return taken[0]
-        return tuple(np.concatenate([p[i] for p in taken] or [np.empty(0, d)])
-                     for i, d in enumerate(self.dtypes))
+        return np.concatenate(taken or [np.empty(0)])
 
 
 class _BitStream:
@@ -308,21 +297,23 @@ class _BitStream:
     two flushes. An emission past the horizon is counted, never stored.
     What waits is the longer-lived branch's emissions from the last
     |L0 - L1| of arrivals: about rate * p_b * min(|L0 - L1|, horizon)
-    entries of 8 bytes (16 for 1-vortices, which carry their arrival index
-    for the tie break).
+    float entries of 8 bytes. Bits emitted at one instant are ordered by
+    branch, the longer-lived branch's first (0-bits when L0 == L1): when
+    the lifetimes differ by more than the rounding of the emission times,
+    that is the order in which the tied vortices arrived.
     """
 
     def __init__(self, life0: float, life1: float, horizon: float, out,
                  digest_bits: int):
         self.lives = (life0, life1)
+        self.side = "right" if life0 >= life1 else "left"
         self.horizon = horizon
         self.out = out
         self.digest_bits = digest_bits
         self.head = bytearray()
-        self.pending = (_Pending(np.float64), _Pending(np.float64, np.intp))
+        self.pending = (_Pending(), _Pending())
         self.produced = [0, 0]
         self.emitted = [0, 0]
-        self.arrived = self.written = 0
 
     def add(self, arrivals: np.ndarray, is_zero: np.ndarray,
             final: bool = False) -> None:
@@ -331,28 +322,19 @@ class _BitStream:
         n0 = int(np.count_nonzero(is_zero))
         self.produced[0] += n0
         self.produced[1] += arrivals.size - n0
-        # Emission times grow with arrival time in each branch, so a branch
-        # whose first emission here is past the horizon has none to store.
-        life0, life1 = self.lives
-        if arrivals.size and arrivals[0] + life0 <= self.horizon:
-            t0 = np.compress(is_zero, arrivals)
-            t0 += life0
-            e0 = int(np.searchsorted(t0, self.horizon, "right"))
-            self.pending[0].push(t0[:e0])
-            self.emitted[0] += e0
-        if arrivals.size and arrivals[0] + life1 <= self.horizon:
-            one_at = np.flatnonzero(~is_zero)
-            t1 = arrivals.take(one_at)
-            t1 += life1
-            e1 = int(np.searchsorted(t1, self.horizon, "right"))
-            self.pending[1].push(t1[:e1], one_at[:e1] + self.arrived)
-            self.emitted[1] += e1
-        self.arrived += arrivals.size
+        for branch, (life, pending) in enumerate(zip(self.lives, self.pending)):
+            # Emission times grow with arrival time in each branch, so a
+            # branch whose first emission here is past the horizon has none
+            # to store.
+            if arrivals.size and arrivals[0] + life <= self.horizon:
+                t = np.compress(is_zero if branch == 0 else ~is_zero, arrivals)
+                t += life
+                e = int(np.searchsorted(t, self.horizon, "right"))
+                pending.push(t[:e])
+                self.emitted[branch] += e
         cut = math.inf if final else arrivals[-1] + min(self.lives)
-        (f0,), (f1, a1) = (p.pop_before(cut) for p in self.pending)
-        bits = _merge_bits(f0, f1, a1, self.written)
+        bits = _merge_bits(*(p.pop_before(cut) for p in self.pending), self.side)
         self.out.write(bits)
-        self.written += bits.size
         if len(self.head) < self.digest_bits:
             self.head += bits[:self.digest_bits - len(self.head)].tobytes()
 

@@ -65,20 +65,10 @@ class NormalizabilityKind(Enum):
     RESTRICTED = "restricted"
 
 
-@dataclass(frozen=True)
-class ContourResult:
-    """Quadrature result plus an accuracy flag for under-resolved contours."""
-
-    value: WaveValue
-    accuracy_warning: bool = False
-
-
 # Finite-difference steps balancing truncation against round-off at
 # double precision.
 STEP_FIRST = 1e-5
 STEP_SECOND = 1e-4
-
-MIN_CONTOUR_POINTS = 64
 
 
 @contextlib.contextmanager
@@ -205,7 +195,7 @@ def _contour_sum(re, im, dc) -> complex:
 
 def contour_integral(
     z: float, center: CParam, radius: float, n_points: int = 1024
-) -> ContourResult:
+) -> WaveValue:
     """Trapezoidal quadrature of the closed contour integral of psi(c) dc.
 
     The contour is the circle of given radius around ``center`` in the
@@ -215,10 +205,7 @@ def contour_integral(
     """
     x, y, dc = _contour_nodes(center, radius, n_points)
     psi = psi_values(z, x, y)
-    return ContourResult(
-        value=WaveValue.from_complex(_contour_sum(psi.real, psi.imag, dc)),
-        accuracy_warning=n_points < MIN_CONTOUR_POINTS,
-    )
+    return WaveValue.from_complex(_contour_sum(psi.real, psi.imag, dc))
 
 
 def cauchy_formula(

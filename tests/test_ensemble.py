@@ -34,8 +34,9 @@ def make_config(**kw):
 
 
 # Reference engine: the argsort-based simulate, kept verbatim but for the
-# branch uniforms, drawn from the seed's first spawned generator, so the
-# merge engine can be held to byte-identical reports and bit streams.
+# branch uniforms, drawn from the seed's first spawned generator, and the
+# order at a tie (lifetime_ordered_bits), so the merge engine can be held to
+# byte-identical reports and bit streams.
 def _oracle_arrival_times(rng: np.random.Generator, rate: float,
                           horizon: float) -> np.ndarray:
     """Poisson arrival times on [0, horizon), batched exponential gaps."""
@@ -54,6 +55,14 @@ def _oracle_arrival_times(rng: np.random.Generator, rate: float,
     return all_times[all_times < horizon]
 
 
+def lifetime_ordered_bits(emission, is_zero, life0, life1) -> str:
+    """The bits in emission-time order, the longer-lived branch's first at
+    one instant, 0-bits first when L0 == L1."""
+    bits = np.where(is_zero, 0, 1)
+    tag = bits if life0 >= life1 else 1 - bits
+    return "".join("01"[b] for b in bits[np.lexsort((tag, emission))])
+
+
 def oracle_simulate(config: EnsembleConfig) -> SimulationResult:
     """Run the production/collapse process to the horizon."""
     rng = np.random.default_rng(config.seed)
@@ -65,9 +74,9 @@ def oracle_simulate(config: EnsembleConfig) -> SimulationResult:
     emission_times = arrivals + lifetimes
     emitted_mask = emission_times <= config.horizon
 
-    order = np.argsort(emission_times[emitted_mask], kind="stable")
-    emitted_bits = np.where(is_zero[emitted_mask], 0, 1)[order]
-    bit_stream = "".join("01"[b] for b in emitted_bits)
+    bit_stream = lifetime_ordered_bits(
+        emission_times[emitted_mask], is_zero[emitted_mask],
+        config.zero_lifetime, config.one_lifetime)
 
     produced_zero = int(np.count_nonzero(is_zero))
     produced_one = int(arrivals.size - produced_zero)
@@ -275,9 +284,26 @@ class TestOracle:
         long_digest = simulate(make_config(digest_bits=10 ** 6))
         assert long_digest.report.bit_sequence_digest == long_digest.bit_stream
 
-    def test_merge_breaks_ties_by_arrival(self):
-        for case, (t0, t1, arrival1, expected) in enumerate(tie_cases()):
-            assert _merge_bits(t0, t1, arrival1).tobytes().decode() == expected, case
+    def test_merge_breaks_ties_by_lifetime(self):
+        # With distinct lifetimes, the longer-lived of two vortices emitting
+        # at one instant arrived first, so the bits keep the arrival order.
+        distinct_ties = 0
+        for case, (pop, expected) in enumerate(tie_populations()):
+            arrivals, is_zero, life0, life1, horizon = pop
+            emission = np.where(is_zero, arrivals + life0, arrivals + life1)
+            emitted = emission <= horizon
+            side = "right" if life0 >= life1 else "left"
+            got = _merge_bits(emission[is_zero & emitted],
+                              emission[~is_zero & emitted], side)
+            assert got.tobytes().decode() == expected, case
+            if life0 != life1:
+                by_arrival = np.argsort(emission[emitted], kind="stable")
+                assert expected == "".join("01"[b] for b in np.where(
+                    is_zero[emitted], 0, 1)[by_arrival]), case
+                distinct_ties += np.intersect1d(
+                    emission[is_zero & emitted],
+                    emission[~is_zero & emitted]).size
+        assert distinct_ties > 100
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16])
     def test_ties_straddle_flushes(self, chunk):
@@ -288,7 +314,7 @@ class TestOracle:
             bits, stream = stream_population(*pop, chunk)
             assert bits == expected, case
             arrivals, is_zero, life0, life1, horizon = pop
-            assert stream.written == len(expected)
+            assert sum(stream.emitted) == len(expected)
             assert stream.produced == [np.count_nonzero(is_zero),
                                        np.count_nonzero(~is_zero)]
             assert stream.head.decode() == expected[:64]
@@ -303,8 +329,8 @@ class TestOracle:
 def tie_populations():
     """500 populations with integer-valued times, where cross-branch ties
     are common, each as ``((arrivals, is_zero, life0, life1, horizon),
-    expected)``: the expected bits are the stable argsort of the emission
-    times in arrival order."""
+    expected)``: the expected bits are in emission-time order, the
+    longer-lived branch's first at a tie."""
     rng = np.random.default_rng(2024)
     for _ in range(500):
         n = int(rng.integers(0, 60))
@@ -314,20 +340,9 @@ def tie_populations():
         horizon = float(rng.integers(0, 18))
         emission = np.where(is_zero, arrivals + life0, arrivals + life1)
         emitted = emission <= horizon
-        order = np.argsort(emission[emitted], kind="stable")
-        expected = "".join("01"[b] for b in
-                           np.where(is_zero[emitted], 0, 1)[order])
+        expected = lifetime_ordered_bits(emission[emitted], is_zero[emitted],
+                                         life0, life1)
         yield (arrivals, is_zero, life0, life1, horizon), expected
-
-
-def tie_cases():
-    """The merges of tie_populations: the emitted 0- and 1-vortices'
-    times, the 1-vortices' arrival indices and the expected bits."""
-    for (arrivals, is_zero, life0, life1, horizon), expected in tie_populations():
-        emitted = np.where(is_zero, arrivals + life0, arrivals + life1) <= horizon
-        t0 = arrivals[is_zero & emitted] + life0
-        t1 = arrivals[~is_zero & emitted] + life1
-        yield t0, t1, np.flatnonzero(~is_zero)[:t1.size], expected
 
 
 def stream_population(arrivals, is_zero, life0, life1, horizon, chunk):
@@ -605,6 +620,17 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def traced_peak(cfg: EnsembleConfig, tmp_path) -> int:
+    """The tracemalloc peak of simulate writing its bits to a file."""
+    with open(tmp_path / "bits", "wb") as sink:
+        tracemalloc.start()
+        try:
+            simulate(cfg, sink)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 class TestStream:
     """Bits written to a sink as they are merged: the oracle's bytes, in
     memory set by the lifetime gap."""
@@ -655,9 +681,9 @@ class TestStream:
         monkeypatch.setattr(ensemble, "_CHUNK", 1024)
         merge, sizes = ensemble._merge_bits, []
 
-        def recording(t0, t1, arrival1, placed=0):
+        def recording(t0, t1, side):
             sizes.append(t0.size + t1.size)
-            return merge(t0, t1, arrival1, placed)
+            return merge(t0, t1, side)
 
         monkeypatch.setattr(ensemble, "_merge_bits", recording)
         cfg = make_config(pair_production_rate=5e4, **kw)
@@ -672,19 +698,10 @@ class TestStream:
         # At a fixed L0 - L1, 1e6 and then 2e6 events: the pending 0-bits
         # are the same in number, about rate * p_0 * (L0 - L1), once the
         # horizon passes L0 + (L0 - L1), about 8.2.
-        def peak(horizon):
-            cfg = make_config(pair_production_rate=1e5, horizon=horizon,
-                              seed=4)
-            with open(tmp_path / "bits", "wb") as sink:
-                tracemalloc.start()
-                try:
-                    simulate(cfg, sink)
-                    return tracemalloc.get_traced_memory()[1], cfg
-                finally:
-                    tracemalloc.stop()
-
-        short, _ = peak(10.0)
-        long, cfg = peak(20.0)
+        short = traced_peak(make_config(pair_production_rate=1e5,
+                                        horizon=10.0, seed=4), tmp_path)
+        cfg = make_config(pair_production_rate=1e5, horizon=20.0, seed=4)
+        long = traced_peak(cfg, tmp_path)
         assert long <= 1.1 * short
         lag = cfg.pair_production_rate * cfg.prob_zero * (
             cfg.zero_lifetime - cfg.one_lifetime)
@@ -692,6 +709,16 @@ class TestStream:
         assert long < 16 * lag + 8 * 8 * ensemble._CHUNK
         # The whole population would take 14 bytes per event.
         assert long < 0.3 * 14 * cfg.pair_production_rate * cfg.horizon
+
+    def test_peak_memory_with_longer_lived_one_vortices(self, tmp_path):
+        # L1 33.3 outlives L0 20.3, so about 651,000 1-vortices wait, each
+        # an 8-byte emission time, as a pending 0-vortex is.
+        cfg = make_config(pair_production_rate=1e5, k=0.1, s=10.0,
+                          epsilon=EPS_ZERO_FIRST, horizon=50.0, seed=4)
+        lag = cfg.pair_production_rate * (1.0 - cfg.prob_zero) * (
+            cfg.one_lifetime - cfg.zero_lifetime)
+        assert 6.5e5 < lag < 6.52e5
+        assert traced_peak(cfg, tmp_path) < 12 * lag + 8 * 8 * ensemble._CHUNK
 
 
 class TestSteadyState:

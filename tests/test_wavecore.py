@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from zvortex.wavecore import (
     CParam,
-    ContourResult,
     DomainError,
-    MIN_CONTOUR_POINTS,
     NormalizabilityKind,
     WaveValue,
     _require_positive,
@@ -73,7 +71,7 @@ def scalar_laplace_residual(z0: float, c0: CParam, h: float = 1e-4) -> tuple[flo
 
 def scalar_contour_integral(
     z: float, center: CParam, radius: float, n_points: int = 1024
-) -> ContourResult:
+) -> WaveValue:
     lnz = math.log(z)
     c0 = center.as_complex()
     total = 0j
@@ -83,10 +81,7 @@ def scalar_contour_integral(
         offset = radius * cmath.exp(1j * theta)
         total += cmath.exp((c0 + offset) * lnz) * (1j * offset)
     total *= dtheta
-    return ContourResult(
-        value=WaveValue.from_complex(total),
-        accuracy_warning=n_points < MIN_CONTOUR_POINTS,
-    )
+    return WaveValue.from_complex(total)
 
 
 def scalar_cauchy_formula(
@@ -171,8 +166,7 @@ class TestArrayKernels:
         max_psi = max(z ** (cx + radius), z ** (cx - radius))
         got = contour_integral(z, center, radius, n_points)
         want = scalar_contour_integral(z, center, radius, n_points)
-        assert got.accuracy_warning == want.accuracy_warning
-        assert (abs(got.value.as_complex() - want.value.as_complex())
+        assert (abs(got.as_complex() - want.as_complex())
                 <= 1e-13 * max_psi * radius)
         a = CParam(cx + ax * radius, cy + ay * radius)
         got = cauchy_formula(z, a, center, radius, n_points).as_complex()
@@ -317,17 +311,16 @@ class TestContour:
     def test_entire_function_integrates_to_zero(self):
         res = contour_integral(2.0, CParam(1.0, 2.0), 1.0, 1024)
         max_psi = 2.0 ** 2.0  # |psi| = z^x maxes at x = center.x + radius
-        assert res.value.magnitude() < 1e-10 * max_psi
-        assert not res.accuracy_warning
+        assert res.magnitude() < 1e-10 * max_psi
 
     def test_z_one_constant_integrand(self):
         res = contour_integral(1.0, CParam(0.0, 0.0), 2.0, 256)
-        assert res.value.magnitude() < 1e-13
+        assert res.magnitude() < 1e-13
 
     def test_large_contour(self):
         res = contour_integral(0.7, CParam(0.0, 0.0), 2.0, 2048)
         max_psi = 0.7 ** -2.0
-        assert res.value.magnitude() < 1e-10 * max_psi
+        assert res.magnitude() < 1e-10 * max_psi
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
     def test_bad_radius_rejected(self, radius):
@@ -336,13 +329,10 @@ class TestContour:
         with pytest.raises(DomainError, match="radius must be positive"):
             cauchy_formula(2.0, CParam(0.0, 0.0), CParam(0.0, 0.0), radius, 64)
 
-    def test_accuracy_warning_for_coarse_contour(self):
-        assert contour_integral(2.0, CParam(0.0, 0.0), 1.0, 32).accuracy_warning
-
     def test_quadratic_convergence_or_better(self):
         # spectrally accurate before hitting the machine floor
-        coarse = contour_integral(3.0, CParam(0.0, 0.0), 2.0, 8).value.magnitude()
-        fine = contour_integral(3.0, CParam(0.0, 0.0), 2.0, 16).value.magnitude()
+        coarse = contour_integral(3.0, CParam(0.0, 0.0), 2.0, 8).magnitude()
+        fine = contour_integral(3.0, CParam(0.0, 0.0), 2.0, 16).magnitude()
         assert fine < coarse / 4.0
 
 
