@@ -27,10 +27,10 @@ from .tables import format_rows
 from .wavecore import CParam, DomainError
 
 TOLERANCE_ENV = "ZVORTEX_TOLERANCE"
-# The most trajectory steps and geometry points a command accepts: either
-# output is then at most about 150 MB (a trajectory writes 100-150 bytes a
-# step, the geometry 450-650 bytes a point). Memory holds the columns; the
-# text is written block by block as it is formatted.
+# The most trajectory or ladder steps, ladder levels and geometry points a
+# command accepts: any output is then at most about 150 MB (a trajectory
+# writes 100-150 bytes a step, a ladder 45-80, the geometry 450-650 a
+# point). Memory holds the columns; the text is written block by block.
 MAX_STEPS = 10 ** 6
 MAX_POINTS = 2 * 10 ** 5
 # The most (z, x, y) points a verify grid holds: 10^6 take about 0.7 s and
@@ -108,9 +108,13 @@ def _number(params: dict, key: str, default: float | None = None) -> float:
     return value
 
 
-def _numbers(params: dict, key: str, default: list | None = None) -> list:
-    """``params[key]`` (or the default), which must be a list of finite numbers."""
+def _numbers(params: dict, key: str, default: list | None = None,
+             maximum: float = math.inf) -> list:
+    """``params[key]`` (or the default), which must be a list of finite
+    numbers. A list longer than maximum is a domain error."""
     values = params.get(key, default)
+    if isinstance(values, list) and len(values) > maximum:
+        raise DomainError(f"{key} must hold at most {maximum} values, got {len(values)}")
     if not isinstance(values, list) or not all(_finite(v) for v in values):
         raise click.UsageError(f"{key} must be a list of finite numbers")
     return values
@@ -345,18 +349,23 @@ def cmd_trajectory(params_path, out_path, fmt, hbar, mass):
 @cli.command("ladder")
 @_options(*_io_options("csv"), *_hbar_mass)
 def cmd_ladder(params_path, out_path, fmt, hbar, mass):
-    """Trace the quantized k along an energy schedule."""
+    """Trace the quantized k along an energy schedule.
+
+    ``eigenvalues`` and ``schedule`` each hold at most MAX_STEPS, 10^6,
+    values."""
     params = _load_params(params_path, ("hbar", "mass", "eigenvalues", "schedule"))
     phys = _physical(params, hbar, mass)
-    ladder = energy_mod.EnergyLadder(tuple(_numbers(params, "eigenvalues")))
-    trace = energy_mod.k_jump_trace(ladder, _numbers(params, "schedule"), phys)
+    eigenvalues = _numbers(params, "eigenvalues", maximum=MAX_STEPS)
+    schedule = _numbers(params, "schedule", maximum=MAX_STEPS)
+    trace = energy_mod.k_jump_trace(energy_mod.EnergyLadder(tuple(eigenvalues)),
+                                    schedule, phys)
     if fmt == "json":
-        _emit(out_path, [json.dumps({"trace": [
-            {"step": r.step, "E": r.E, "j": r.j, "k": r.k} for r in trace
-        ]}, sort_keys=True), "\n"])
+        _emit(out_path, _json_with_rows({}, "trace", format_rows(
+            '{"E": %r, "j": %d, "k": %r, "step": %d}',
+            [trace.E, trace.j, trace.k, trace.step], ", ")))
     else:
-        _emit(out_path, ["step,E,j,k\n"],
-              (f"{r.step},{_fmt(r.E)},{r.j},{_fmt(r.k)}\n" for r in trace))
+        _emit(out_path, ["step,E,j,k\n"], format_rows(
+            "%d,%.17g,%d,%.17g\n", [trace.step, trace.E, trace.j, trace.k]))
 
 
 # -------------------------------------------------------------- ensemble

@@ -9,10 +9,11 @@ sqrt(m / 6 hbar^2) (sqrt(E_j) - sqrt(E_{j-1})) at each level transition.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .schrodinger_field import PhysicalParams
 from .vortex import Branch, VortexSolution, _require_potential, k_from_potential
@@ -54,25 +55,28 @@ def energy_of_potential(u_f: float) -> float:
     return 12.0 / 5.0 * u_f
 
 
-def level_index(ladder: EnergyLadder, E: float) -> int:
+def level_index(ladder: EnergyLadder, E):
     """Index j of the highest eigenvalue reached by E (lambda(0) = 1).
 
     That is the number of eigenvalues E_i with unit_step(E - E_i) = 1, less
-    one, found by bisection.
+    one, found by bisection. It works elementwise on E, taken as a float; a
+    float E gives an int.
     """
-    if not E >= ladder.eigenvalues[0]:  # also rejects NaN
-        raise BelowLadderError(
-            f"E = {E} lies below the ground eigenvalue {ladder.eigenvalues[0]}")
-    return bisect.bisect_right(ladder.eigenvalues, E) - 1
+    e = np.asarray(E, dtype=float)
+    if (below := np.flatnonzero(~(e >= ladder.eigenvalues[0]))).size:  # or NaN
+        raise BelowLadderError(f"E = {np.ravel(E)[below[0]]} lies below the "
+                               f"ground eigenvalue {ladder.eigenvalues[0]}")
+    j = np.searchsorted(ladder.eigenvalues, e, "right") - 1
+    return j if j.ndim else int(j)
 
 
-def _level_potential(ladder: EnergyLadder, j: int) -> float:
-    return 5.0 / 12.0 * ladder.eigenvalues[j]
+def _level_potential(ladder: EnergyLadder, j):
+    return 5.0 / 12.0 * np.asarray(ladder.eigenvalues)[j]
 
 
 def potential_of_energy(ladder: EnergyLadder, E: float) -> float:
     """Step potential U(E) = (5/12) E_j for the level j reached by E."""
-    return _level_potential(ladder, level_index(ladder, E))
+    return float(_level_potential(ladder, level_index(ladder, E)))
 
 
 def quantized_k(ladder: EnergyLadder, E: float, params: PhysicalParams) -> float:
@@ -101,24 +105,37 @@ def delta_k(ladder: EnergyLadder, j: int, params: PhysicalParams) -> float:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    step: int
-    E: float
-    j: int
-    k: float
+class JumpTrace:
+    """k along an energy schedule: four arrays of one length, one entry per
+    step. ``E`` holds the schedule's entries as given, in an object array."""
+
+    step: np.ndarray
+    E: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.step)
 
 
 @float_range("k")
 def k_jump_trace(ladder: EnergyLadder, energy_schedule: Iterable[float],
-                 params: PhysicalParams) -> list[TraceStep]:
+                 params: PhysicalParams) -> JumpTrace:
     """Piecewise-constant k along an energy schedule.
 
     k changes only when the level index changes; each jump magnitude equals
-    delta_k for the levels crossed.
+    delta_k for the levels crossed. The first failing step raises its error.
     """
-    trace = []
-    for i, E in enumerate(energy_schedule):
-        j = level_index(ladder, E)
-        k = k_from_potential(_level_potential(ladder, j), params)
-        trace.append(TraceStep(step=i, E=E, j=j, k=k))
-    return trace
+    E = np.array(list(energy_schedule), dtype=object)
+    e = E.astype(float)
+    # The steps before n, the first one below the ladder or at a negative
+    # potential, go first: a k past the float range among them raises before
+    # step n raises its own error. No k is taken when no step precedes n, as
+    # 2 m or hbar^2 alone can pass the float range.
+    usable = np.asarray(ladder.eigenvalues)[_level_potential(ladder, slice(None)) >= 0.0]
+    n = np.argmin(np.r_[e >= usable.min(initial=np.inf), False])
+    j = level_index(ladder, e[:n])
+    k = k_from_potential(_level_potential(ladder, j), params) if n else np.zeros(0)
+    if n < len(E):
+        quantized_k(ladder, E[n], params)
+    return JumpTrace(np.arange(n), E, j, k)

@@ -1,10 +1,11 @@
 """Row formatting for the tables zvortex writes.
 
-Grid residuals, trajectories and the gradient-map geometry are formatted
-from columns, not from row objects. A block of at most ``BLOCK_ROWS`` rows
-is one ``%`` operation: the row template repeated once per row, applied to
-the column values interleaved row by row. Bounding the block keeps the
-strings alive at once small, however long the table.
+Grid residuals, trajectories, the gradient-map geometry and the ladder's
+k trace are formatted from columns, not from row objects. A block of at
+most ``BLOCK_ROWS`` rows is one ``%`` operation: the row template repeated
+once per row, applied to the column values interleaved row by row.
+Bounding the block keeps the strings alive at once small, however long the
+table.
 """
 
 from __future__ import annotations

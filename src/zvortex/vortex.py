@@ -46,16 +46,18 @@ class Branch(Enum):
         return Branch.ZERO_VORTEX if self is Branch.ONE_VORTEX else Branch.ONE_VORTEX
 
 
-def _require_potential(u_f: float) -> None:
-    if not u_f >= 0.0:  # also rejects NaN
-        raise DomainError(f"potential must be non-negative, got {u_f}")
+def _require_potential(u_f) -> None:
+    if (bad := np.flatnonzero(~(np.asarray(u_f, dtype=float) >= 0.0))).size:  # or NaN
+        raise DomainError(f"potential must be non-negative, got {np.ravel(u_f)[bad[0]]}")
 
 
-def k_from_potential(u_f: float, params: PhysicalParams) -> float:
-    """k = sqrt(2 m U_f / (5 hbar^2))."""
+def k_from_potential(u_f, params: PhysicalParams):
+    """k = sqrt(2 m U_f / (5 hbar^2)), elementwise; a float U_f gives a float."""
     _require_potential(u_f)
     # In numpy, so that past the float range it raises under float_range.
-    return math.sqrt(np.float64(2.0) * params.mass * u_f / (5.0 * params.hbar ** 2))
+    k = np.sqrt(np.float64(2.0) * params.mass * np.asarray(u_f, dtype=float)
+                / (5.0 * params.hbar ** 2))
+    return k if k.ndim else float(k)
 
 
 @dataclass(frozen=True)

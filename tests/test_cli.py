@@ -393,6 +393,12 @@ class TestBadInput:
         pytest.param("ladder", {"eigenvalues": [-2.0, 1.0],
                                 "schedule": [-1.0]}, [], None, 1,
                      id="ladder-negative-potential"),
+        pytest.param("ladder", {"eigenvalues": [1.0],
+                                "schedule": [2.0] * (cli_mod.MAX_STEPS + 1)},
+                     [], None, 1, id="ladder-schedule-above-limit"),
+        pytest.param("ladder", {"eigenvalues": list(range(cli_mod.MAX_STEPS + 1)),
+                                "schedule": [2.0]}, [], None, 1,
+                     id="ladder-eigenvalues-above-limit"),
         pytest.param("verify", {}, [], {"ZVORTEX_TOLERANCE": "abc"}, 2,
                      id="verify-tolerance-env-text"),
         *(pytest.param("verify", {}, [], {"ZVORTEX_TOLERANCE": text}, 2,
@@ -568,6 +574,46 @@ class TestSizeLimits:
         with pytest.raises(wc.DomainError,
                            match=f"at most {limit} points, got {limit + 1}$"):
             cli_mod._verify_checks({"grid": past}, phys)
+
+
+    @pytest.mark.parametrize("key", ["eigenvalues", "schedule"])
+    def test_ladder_list_limit_accepted_and_one_past_rejected(self, key):
+        limit = cli_mod.MAX_STEPS
+        values = [1.0] * limit
+        assert cli_mod._numbers({key: values}, key, maximum=limit) == values
+        with pytest.raises(wc.DomainError, match=f"^{key} must hold at most {limit} "
+                                                 f"values, got {limit + 1}$"):
+            cli_mod._numbers({key: values + [1.0]}, key, maximum=limit)
+
+    @pytest.mark.parametrize("params,key", [
+        # Not numbers and not increasing: the length is checked before the
+        # values are scanned and before the ladder is built.
+        ({"eigenvalues": ["abc"] * (cli_mod.MAX_STEPS + 1), "schedule": [1.0]},
+         "eigenvalues"),
+        ({"eigenvalues": [3.0, 1.0], "schedule": ["abc"] * (cli_mod.MAX_STEPS + 1)},
+         "schedule"),
+    ])
+    def test_ladder_one_past_the_limit_is_one_error_line(self, runner, tmp_path,
+                                                         params, key):
+        path = write_params(tmp_path, params)
+        result = runner.invoke(cli, ["ladder", "--params", path])
+        assert result.exit_code == 1
+        limit = cli_mod.MAX_STEPS
+        assert result.output == (f"error: {key} must hold at most {limit} values, "
+                                 f"got {limit + 1}\n")
+
+    def test_ladder_at_the_limit(self, runner, tmp_path):
+        limit = cli_mod.MAX_STEPS
+        schedule = [1.0 + 9.0 * i / limit for i in range(limit)]
+        path = write_params(tmp_path, {"eigenvalues": [float(e) for e in range(1, 11)],
+                                       "schedule": schedule})
+        out = tmp_path / "trace.csv"
+        result = runner.invoke(cli, ["ladder", "--params", path, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with open(out) as fh:
+            lines = fh.readlines()
+        assert len(lines) == limit + 1
+        assert lines[-1] == f"{limit - 1},{schedule[-1]:.17g},8,{math.sqrt(1.5):.17g}\n"
 
 
 class TestFlags:

@@ -1,12 +1,14 @@
 """Byte-equality of the column-wise table writers with the row-by-row writers
 they replaced.
 
-The row-by-row ``GridReport.write_csv``, the per-point ``trajectory`` and
-the scalar gradient-map functions with ``cmd_geometry``'s row loop are kept
-here verbatim as oracles. Only the names differ, and each oracle's output
-lines are returned as one string instead of being written.
+The row-by-row ``GridReport.write_csv``, the per-point ``trajectory``, the
+scalar gradient-map functions with ``cmd_geometry``'s row loop, and the
+per-step ``k_jump_trace`` with ``cmd_ladder``'s row loops are kept here
+verbatim as oracles. Only the names differ, and each oracle's output lines
+are returned as one string instead of being written.
 """
 
+import bisect
 import io
 import json
 import math
@@ -16,18 +18,20 @@ from typing import Iterable, Sequence
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zvortex import energy
 from zvortex import vortex as vx
 from zvortex.cli import cli
+from zvortex.energy import BelowLadderError, EnergyLadder
 from zvortex.schrodinger_field import (PhysicalParams, Potential,
                                        constant_field, evaluate_grid,
                                        exponential_field)
 from zvortex.tables import BLOCK_ROWS, format_rows
 from zvortex.vortex import (Branch, VortexSolution, collapse_time,
                             imag_solution, trajectory)
-from zvortex.wavecore import CParam, DomainError
+from zvortex.wavecore import CParam, DomainError, float_range
 
 
 def _fmt(x: float) -> str:
@@ -181,6 +185,77 @@ def oracle_geometry_text(k, n, z_max, z_min, fmt):
                 for kind, z, px, py, pz in rows)))
 
 
+# ------------------------------------------------- oracle: ladder trace
+
+
+def _oracle_require_potential(u_f: float) -> None:
+    if not u_f >= 0.0:  # also rejects NaN
+        raise DomainError(f"potential must be non-negative, got {u_f}")
+
+
+def oracle_k_from_potential(u_f: float, params: PhysicalParams) -> float:
+    """k = sqrt(2 m U_f / (5 hbar^2))."""
+    _oracle_require_potential(u_f)
+    # In numpy, so that past the float range it raises under float_range.
+    return math.sqrt(np.float64(2.0) * params.mass * u_f / (5.0 * params.hbar ** 2))
+
+
+def oracle_level_index(ladder: EnergyLadder, E: float) -> int:
+    """Index j of the highest eigenvalue reached by E (lambda(0) = 1).
+
+    That is the number of eigenvalues E_i with unit_step(E - E_i) = 1, less
+    one, found by bisection.
+    """
+    if not E >= ladder.eigenvalues[0]:  # also rejects NaN
+        raise BelowLadderError(
+            f"E = {E} lies below the ground eigenvalue {ladder.eigenvalues[0]}")
+    return bisect.bisect_right(ladder.eigenvalues, E) - 1
+
+
+def _oracle_level_potential(ladder: EnergyLadder, j: int) -> float:
+    return 5.0 / 12.0 * ladder.eigenvalues[j]
+
+
+@dataclass(frozen=True)
+class TraceStep:
+    step: int
+    E: float
+    j: int
+    k: float
+
+
+@float_range("k")
+def oracle_k_jump_trace(ladder: EnergyLadder, energy_schedule: Iterable[float],
+                        params: PhysicalParams) -> list[TraceStep]:
+    """Piecewise-constant k along an energy schedule.
+
+    k changes only when the level index changes; each jump magnitude equals
+    delta_k for the levels crossed.
+    """
+    trace = []
+    for i, E in enumerate(energy_schedule):
+        j = oracle_level_index(ladder, E)
+        k = oracle_k_from_potential(_oracle_level_potential(ladder, j), params)
+        trace.append(TraceStep(step=i, E=E, j=j, k=k))
+    return trace
+
+
+def oracle_ladder_text(eigenvalues, schedule, hbar, mass, fmt):
+    """``zvortex ladder`` output, or the DomainError the oracle raises."""
+    try:
+        trace = oracle_k_jump_trace(EnergyLadder(tuple(eigenvalues)), schedule,
+                                    PhysicalParams(hbar, mass))
+    except DomainError as exc:
+        return exc
+    if fmt == "json":
+        return "".join([json.dumps({"trace": [
+            {"step": r.step, "E": r.E, "j": r.j, "k": r.k} for r in trace
+        ]}, sort_keys=True), "\n"])
+    else:
+        return "".join(["step,E,j,k\n",
+              *(f"{r.step},{_fmt(r.E)},{r.j},{_fmt(r.k)}\n" for r in trace)])
+
+
 # ------------------------------------------------------------- helpers
 
 
@@ -204,6 +279,43 @@ def assert_same_or_rejected(result, want):
     else:
         assert result.exit_code == 0, result.output
         assert result.output == want
+
+
+def assert_same_as_oracle(result, want):
+    """Byte-equal output, or exit 1 with the oracle's error as the one line."""
+    if isinstance(want, DomainError):
+        assert result.exit_code == 1, result.output
+        assert result.output == f"error: {want}\n"
+    else:
+        assert result.exit_code == 0, result.output
+        assert result.output == want
+
+
+def trace_or_error(trace_fn, eigenvalues, schedule, params):
+    try:
+        return trace_fn(EnergyLadder(tuple(eigenvalues)), schedule, params)
+    except DomainError as exc:
+        return exc
+
+
+@st.composite
+def ladder_cases(draw):
+    """A ladder of 1-8 levels (some below 0), integer or float, and a
+    schedule of up to 30 steps: exact eigenvalue hits (E_0 among them),
+    integers, floats about the ladder and a few below it."""
+    number = lambda lo, hi: st.integers(lo, hi) | st.floats(lo, hi)
+    eigenvalues = draw(st.lists(number(-5, 60), min_size=1, max_size=8,
+                                unique_by=float).map(lambda v: sorted(v, key=float)))
+    top = int(max(eigenvalues)) + 10
+    step = (st.sampled_from(eigenvalues) | st.sampled_from(eigenvalues[:1])
+            | number(int(min(eigenvalues)) - 2, top) | number(0, top))
+    return eigenvalues, draw(st.lists(step, max_size=30))
+
+
+# hbar and mass near 1, and values at which 2 m U / (5 hbar^2) or hbar^2 or
+# 2 m alone passes the float range.
+units = st.floats(0.3, 3.0) | st.just(1.0)
+extreme_units = st.sampled_from([1e-160, 1e-200, 1e160, 1e308])
 
 
 def grid_csv(report, writer) -> str:
@@ -396,3 +508,102 @@ class TestGeometryOutput:
         assert len(result.output.splitlines()) == 1 + 5 * n - 1
         assert calls == {"gradient_map_segment": 2, "segment_involution": 1,
                          "squared_map": 2}
+
+
+class TestLadderOutput:
+    # A negative eigenvalue whose potential rounds to -0.0 is a usable level.
+    @given(case=ladder_cases(), hbar=units | extreme_units,
+           mass=units | extreme_units, fmt=fmts)
+    @example(case=([-5e-324, 1], [-5e-324, 0.5, 2]), hbar=1.0, mass=1.0, fmt="json")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_step_writer(self, params_path, case, hbar, mass, fmt):
+        eigenvalues, schedule = case
+        params = {"eigenvalues": eigenvalues, "schedule": schedule,
+                  "hbar": hbar, "mass": mass}
+        assert_same_as_oracle(run("ladder", params, params_path, fmt),
+                              oracle_ladder_text(eigenvalues, schedule, hbar, mass, fmt))
+
+    @given(case=ladder_cases(), hbar=units | extreme_units,
+           mass=units | extreme_units)
+    @example(case=([-5e-324, 1], [-5e-324, 0.5, 2]), hbar=1.0, mass=1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_columns_match_per_step_trace(self, case, hbar, mass):
+        eigenvalues, schedule = case
+        phys = PhysicalParams(hbar, mass)
+        got = trace_or_error(energy.k_jump_trace, eigenvalues, schedule, phys)
+        want = trace_or_error(oracle_k_jump_trace, eigenvalues, schedule, phys)
+        if isinstance(want, DomainError):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        assert len(got) == len(want) == len(schedule)
+        assert got.step.tolist() == [r.step for r in want]
+        assert [(type(e), e) for e in got.E.tolist()] == [(type(r.E), r.E) for r in want]
+        assert got.j.tolist() == [r.j for r in want]
+        assert got.k.tolist() == [r.k for r in want]
+
+    @pytest.mark.parametrize("steps", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_block_edges(self, params_path, steps, fmt):
+        eigenvalues = [0.5 + 0.75 * i for i in range(40)]
+        schedule = np.linspace(0.5, 40.0, steps).tolist()
+        schedule[::7] = [eigenvalues[i % 40] for i in range(len(schedule[::7]))]
+        schedule[3::11] = [i % 35 + 1 for i in range(len(schedule[3::11]))]
+        params = {"eigenvalues": eigenvalues, "schedule": schedule,
+                  "hbar": 1.3, "mass": 0.7}
+        want = oracle_ladder_text(eigenvalues, schedule, 1.3, 0.7, fmt)
+        assert isinstance(want, str)
+        assert_same_as_oracle(run("ladder", params, params_path, fmt), want)
+
+    @pytest.mark.parametrize("eigenvalues,schedule,error", [
+        pytest.param([-2.0, 1.0], [2.0, -1.0, -3.0], "potential must be non-negative",
+                     id="potential-before-below"),
+        pytest.param([-2.0, 1.0], [2.0, -3.0, -1.0], "lies below",
+                     id="below-before-potential"),
+        pytest.param([-2, 1], [2, -1, -3], "got -0.8333333333333334",
+                     id="integers-potential-before-below"),
+        pytest.param([-2, 1], [2, -3, -1], "E = -3 lies below", id="integers-below"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_first_failing_step_raises(self, params_path, eigenvalues, schedule,
+                                       error, fmt):
+        want = oracle_ladder_text(eigenvalues, schedule, 1.0, 1.0, fmt)
+        assert isinstance(want, DomainError) and error in str(want)
+        assert_same_as_oracle(run("ladder", {"eigenvalues": eigenvalues,
+                                             "schedule": schedule}, params_path, fmt),
+                              want)
+
+    @pytest.mark.parametrize("schedule,error", [
+        pytest.param([2.0, 0.5], "k overflows", id="overflow-before-below"),
+        pytest.param([0.5, 2.0], "lies below", id="below-before-overflow"),
+        pytest.param([], None, id="empty"),
+    ])
+    def test_overflow_in_schedule_order(self, schedule, error):
+        # hbar^2 is subnormal, so 2 m U / (5 hbar^2) passes the float range.
+        phys = PhysicalParams(1e-160, 1.0)
+        got = trace_or_error(energy.k_jump_trace, [1.0, 3.0], schedule, phys)
+        want = trace_or_error(oracle_k_jump_trace, [1.0, 3.0], schedule, phys)
+        if error is None:
+            assert len(got) == len(want) == 0
+        else:
+            assert error in str(want)
+            assert type(got) is type(want) and str(got) == str(want)
+
+    def test_scalar_arguments_give_python_numbers(self):
+        ladder = EnergyLadder((1.0, 3.0, 7.0))
+        j = energy.level_index(ladder, 3.0)
+        assert type(j) is int and j == oracle_level_index(ladder, 3.0) == 1
+        k = vx.k_from_potential(2.5, PhysicalParams(1.3, 0.7))
+        assert type(k) is float
+        assert k == oracle_k_from_potential(2.5, PhysicalParams(1.3, 0.7))
+        u = energy.potential_of_energy(ladder, 8)
+        assert type(u) is float and u == 5.0 / 12.0 * 7.0
+
+    def test_integer_past_2_53_is_compared_as_a_float(self):
+        # The one behaviour the columns dropped: 2^53 + 3 rounds to the
+        # eigenvalue 2^53 + 4, which the per-step trace compared exactly.
+        ladder = EnergyLadder((2.0 ** 53, 2.0 ** 53 + 4))
+        assert oracle_level_index(ladder, 2 ** 53 + 3) == 0
+        assert energy.level_index(ladder, 2 ** 53 + 3) == 1
+        schedule = [2 ** 53 + 3, 2 ** 53 + 2]
+        trace = energy.k_jump_trace(ladder, schedule, PhysicalParams())
+        assert trace.j.tolist() == [1, 0] and trace.E.tolist() == schedule
