@@ -378,8 +378,10 @@ def cmd_ladder(params_path, out_path, fmt, hbar, mass):
 def cmd_ensemble(params_path, out_path, fmt, seed, bits_out):
     """Simulate a population of vortex pairs and report bit statistics.
 
-    The report is JSON by default; ``--format csv`` gives a header row and
-    one value row, with the report's keys in sorted order."""
+    ``ratio_zero_to_one``, the 0- to 1-vortex production ratio, defaults to
+    the paper's e^{4ks} - e^{2ks}. The report is JSON by default; ``--format
+    csv`` gives a header row and one value row, with the report's keys in
+    sorted order."""
     params = _load_params(params_path, ensemble_mod.EnsembleConfig.__dataclass_fields__)
     if seed is not None:
         params["seed"] = seed

@@ -34,8 +34,9 @@ class EnergyLadder:
         ev = tuple(float(e) for e in self.eigenvalues)
         if not ev:
             raise DomainError("ladder must be non-empty")
-        if not all(math.isfinite(e) for e in ev):
-            raise DomainError(f"eigenvalues must be finite, got {ev}")
+        bad = next((i for i, e in enumerate(ev) if not math.isfinite(e)), None)
+        if bad is not None:
+            raise DomainError(f"eigenvalues must be finite, got {ev[bad]} at index {bad}")
         if any(b <= a for a, b in zip(ev, ev[1:])):
             raise DomainError("eigenvalues must be strictly increasing")
         object.__setattr__(self, "eigenvalues", ev)

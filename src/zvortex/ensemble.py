@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .vortex import (Branch, VortexSolution, collapse_time,
+from .vortex import (Branch, VortexSolution, collapse_time, vortex_ratio,
                      zero_vortex_lifetime)
 from .wavecore import DomainError, _require_positive
 
@@ -61,14 +61,17 @@ MAX_EXPECTED_EVENTS = 1e9
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """0-vortices outlive 1-vortices only when epsilon < e^{-2ks}."""
+    """0-vortices outlive 1-vortices only when epsilon < e^{-2ks}.
+
+    ``ratio_zero_to_one`` defaults to the paper's ratio e^{4ks} - e^{2ks}
+    (``vortex.vortex_ratio``)."""
 
     pair_production_rate: float
-    ratio_zero_to_one: float
     k: float
     s: float
     beta: float
     horizon: float
+    ratio_zero_to_one: float | None = None
     epsilon: float = 1e-6
     seed: int = 0
     digest_bits: int = 64
@@ -77,6 +80,8 @@ class EnsembleConfig:
         for name in ("pair_production_rate", "ratio_zero_to_one", "k", "s",
                      "beta", "horizon", "epsilon"):
             value = getattr(self, name)
+            if name == "ratio_zero_to_one" and value is None:
+                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be a number, got {value!r}")
             if name not in ("ratio_zero_to_one", "epsilon"):
@@ -85,6 +90,8 @@ class EnsembleConfig:
                 raise DomainError(f"{name} must be finite, got {value}")
             elif name == "ratio_zero_to_one" and value < 0.0:
                 raise DomainError(f"{name} must be non-negative, got {value}")
+        if self.ratio_zero_to_one is None:
+            object.__setattr__(self, "ratio_zero_to_one", vortex_ratio(self.k, self.s))
         expected = self.pair_production_rate * self.horizon
         if expected > MAX_EXPECTED_EVENTS:
             raise DomainError(

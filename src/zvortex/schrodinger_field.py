@@ -224,8 +224,9 @@ class GridReport:
 
     def write_csv(self, out: TextIO) -> None:
         out.write("r_x,r_y,t,residual_real,residual_imag\n")
-        # Each axis value is formatted once; the rows take its string by index.
-        labels = [np.array(["%.17g" % v for v in axis.tolist()], dtype=object)
+        # Each axis value is formatted once, as a bytes label; the rows take
+        # it by index.
+        labels = [np.array(["%.17g" % v for v in axis.tolist()], dtype="S24")
                   for axis in self.axes]
         columns = [c.ravel() for c in np.meshgrid(*labels, indexing="ij")]
         out.writelines(format_rows("%s,%s,%s,%.17g,%.17g\n",

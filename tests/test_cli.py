@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import zvortex
 from zvortex import cli as cli_mod
 from zvortex import ensemble
+from zvortex import vortex as vx
 from zvortex import wavecore as wc
 from zvortex.cli import cli
 
@@ -190,6 +191,17 @@ class TestEnsemble:
         kept = ensemble.simulate(ensemble.EnsembleConfig(**self.config()))
         assert bits_path.read_bytes() == (kept.bit_stream + "\n").encode()
         assert json.loads(result.output) == kept.report.to_dict()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_ratio_defaults_to_the_papers(self, runner, tmp_path, fmt):
+        config = {**self.config(), "k": 0.6, "s": 0.9}
+        del config["ratio_zero_to_one"]
+        given = {**config, "ratio_zero_to_one": vx.vortex_ratio(0.6, 0.9)}
+        outputs = [runner.invoke(cli, ["ensemble", "--format", fmt, "--params",
+                                       write_params(tmp_path, c, f"{i}.json")])
+                   for i, c in enumerate((config, given))]
+        assert [r.exit_code for r in outputs] == [0, 0]
+        assert outputs[0].output == outputs[1].output
 
     def test_invalid_config_writes_no_bits_file(self, runner, tmp_path):
         params = write_params(tmp_path, {**self.config(), "epsilon": 0.9})

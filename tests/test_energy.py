@@ -47,6 +47,13 @@ class TestLadderType:
         with pytest.raises(DomainError, match="finite"):
             EnergyLadder((1.0, bad))
 
+    def test_non_finite_message_names_the_first_only(self):
+        ev = [float(i) for i in range(100_000)]
+        ev[54_321] = ev[60_000] = math.nan
+        with pytest.raises(DomainError) as info:
+            EnergyLadder(tuple(ev))
+        assert str(info.value) == "eigenvalues must be finite, got nan at index 54321"
+
 
 class TestEnergyRelation:
     def test_zero(self):

@@ -2,9 +2,10 @@
 they replaced.
 
 The row-by-row ``GridReport.write_csv``, the per-point ``trajectory``, the
-scalar gradient-map functions with ``cmd_geometry``'s row loop, and the
-per-step ``k_jump_trace`` with ``cmd_ladder``'s row loops are kept here
-verbatim as oracles. Only the names differ, and each oracle's output lines
+scalar gradient-map functions with ``cmd_geometry``'s row loop, the
+per-step ``k_jump_trace`` with ``cmd_ladder``'s row loops, and the
+``%``-operator ``format_rows`` that the byte-matrix writer replaced are kept
+here verbatim as oracles. Only the names differ, and each oracle's output lines
 are returned as one string instead of being written.
 """
 
@@ -13,7 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import pytest
@@ -256,6 +257,29 @@ def oracle_ladder_text(eigenvalues, schedule, hbar, mass, fmt):
               *(f"{r.step},{_fmt(r.E)},{r.j},{_fmt(r.k)}\n" for r in trace)])
 
 
+# ------------------------------------------------------ oracle: row writer
+
+
+def oracle_format_rows(template: str, columns: Sequence[np.ndarray],
+                       sep: str = "") -> Iterator[str]:
+    """Yield the rows ``template % (c0[i], c1[i], ...)``, joined by ``sep``,
+    in blocks of at most ``BLOCK_ROWS`` rows.
+
+    The columns are numpy arrays of one length; object arrays of strings
+    fill ``%s`` fields. Values pass through ``tolist()``, so ``%r`` of a
+    float column prints the Python float's repr, as ``json`` does, and not
+    ``np.float64(...)``. No separator is put between blocks.
+    """
+    width = len(columns)
+    n = len(columns[0])
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        values = [None] * ((stop - start) * width)
+        for j, column in enumerate(columns):
+            values[j::width] = column[start:stop].tolist()
+        yield sep.join([template] * (stop - start)) % tuple(values)
+
+
 # ------------------------------------------------------------- helpers
 
 
@@ -342,10 +366,143 @@ class TestFormatRows:
         blocks = list(format_rows("%r", [x], ", "))
         assert ", ".join(blocks) == ", ".join(repr(v) for v in x.tolist())
 
+    @pytest.mark.parametrize("template", ["%f", "%.3g|%r", "%%%r", "a\0b%r", "%r%r"])
+    def test_template_outside_the_four_fields_is_rejected(self, template):
+        with pytest.raises(ValueError):
+            list(format_rows(template, [np.zeros(2)]))
+
     def test_values_print_as_python_floats(self):
         (text,) = format_rows("%r %s %.17g;", [np.array([0.1, -0.0])] * 3)
         assert text == "0.1 0.1 0.10000000000000001;-0.0 -0.0 -0;"
         assert "np." not in text
+
+
+def bits_to_floats(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+def ulps(values) -> np.ndarray:
+    """Each value and its two neighbours, both signs."""
+    x = np.asarray(values, dtype=float)
+    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+    return np.concatenate([x, -x])
+
+
+def halfway_dyadics() -> np.ndarray:
+    """Odd multiples of 2^-j: m / 2^18 for odd m in [26215, 262143] is
+    exactly halfway between two 17-digit decimals, with 10^q a double."""
+    m = np.arange(26215, 262144, 2 * 97, dtype=float)
+    j = np.arange(1, 64, dtype=float)
+    return np.concatenate([m / 2.0 ** 18, ((2 * np.arange(40) + 1)[:, None]
+                                           / 2.0 ** j).ravel()])
+
+
+FIXED_FLOATS = {
+    "zeros-subnormals-inf-nan": np.array(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+         1e-310, 1.7976931348623157e308, math.inf, -math.inf, math.nan, -math.nan]),
+    "kernel-range-edges": ulps([1e-30, 1e17]),
+    "powers-of-ten": ulps([10.0 ** k for k in range(-32, 19)]
+                          + [float(f"1e{k}") for k in range(-32, 19)]),
+    "powers-of-two": np.concatenate([2.0 ** np.arange(-1074, 1024),
+                                     -(2.0 ** np.arange(-120, 70))]),
+    "halfway-dyadics": np.concatenate([halfway_dyadics(), -halfway_dyadics()]),
+    "integers-about-2-53": ulps([2.0 ** 53 + k for k in range(-6, 7)]
+                                + [2.0 ** 54 + 4 * k for k in range(-3, 4)]),
+    "rounding-carries": ulps([9.99999999999999999e-5, 9.9999999999999995e-5,
+                              0.99999999999999999, 99999999999999999.0,
+                              9999999999999999.5, 999999999999999.94,
+                              9.9999999999999999e-31]),
+}
+
+float_values = st.lists(st.floats() | st.integers(0, 2 ** 64 - 1).map(
+    lambda b: bits_to_floats([b])[0]), min_size=1, max_size=40)
+# The writer's one rule on its input: no NUL in the template or the values.
+literal_chars = st.characters(blacklist_characters="\0", blacklist_categories=("Cs",))
+literal = st.text(st.characters(blacklist_characters="%\0",
+                                blacklist_categories=("Cs",)), max_size=3)
+
+
+@st.composite
+def templates_and_columns(draw):
+    """A template of 1-4 fields between random literals and one column per
+    field: floats for %.17g and %r; int64 for %d; floats, or integers,
+    floats and strings in an object column, for %s."""
+    n = draw(st.integers(1, 30))
+    template, columns = draw(literal), []
+    for _ in range(draw(st.integers(1, 4))):
+        spec = draw(st.sampled_from(["%.17g", "%r", "%d", "%s"]))
+        if spec == "%d":
+            column = np.array(draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                            min_size=n, max_size=n)), dtype=np.int64)
+        elif spec == "%s" and draw(st.booleans()):
+            column = np.array(draw(st.lists(st.text(literal_chars, max_size=4) | st.integers()
+                                            | st.floats(), min_size=n, max_size=n))
+                              + [None], dtype=object)[:n]
+        else:
+            column = np.resize(np.array(draw(float_values)), n)
+        template += spec + draw(literal)
+        columns.append(column)
+    return template, columns
+
+
+def assert_same_blocks(template, columns, sep=""):
+    assert list(format_rows(template, columns, sep)) == \
+        list(oracle_format_rows(template, columns, sep))
+
+
+class TestFormatRowsOracle:
+    """Byte for byte the %-operator writer, however the values are drawn."""
+
+    @given(values=float_values, sep=st.sampled_from(["", ", ", "\n", "é;"]))
+    @settings(max_examples=400, deadline=None)
+    def test_floats(self, values, sep):
+        x = np.array(values)
+        assert_same_blocks("%.17g|%r|%s", [x, x, x], sep)
+
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_float_bit_patterns(self, bits):
+        x = bits_to_floats(bits)
+        assert_same_blocks("%.17g,%r\n", [x, x])
+
+    @given(case=templates_and_columns(), sep=st.sampled_from(["", ", ", "\n"]))
+    @settings(max_examples=400, deadline=None)
+    def test_mixed_fields(self, case, sep):
+        template, columns = case
+        assert_same_blocks(template, columns, sep)
+
+    @given(v=st.lists(st.integers(-2 ** 63, 2 ** 63 - 1) | st.integers(-12, 12),
+                      min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_integers(self, v):
+        column = np.array(v, dtype=np.int64)
+        assert_same_blocks("%d %r %s\n", [column] * 3)
+
+    @pytest.mark.parametrize("name", sorted(FIXED_FLOATS))
+    def test_fixed_floats(self, name):
+        x = FIXED_FLOATS[name]
+        with float_range("fixed floats"):
+            assert_same_blocks("%.17g,%r,%s\n", [x, x, x])
+            assert_same_blocks('{"x": %r}', [x], ", ")
+
+    def test_integer_edges(self):
+        v = np.array([0, 1, -1, 9, -9, 10, -10, 10 ** 18, 10 ** 18 - 1,
+                      2 ** 63 - 1, -2 ** 63], dtype=np.int64)
+        assert_same_blocks("%d;", [v])
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-40, 40, n)
+        x[::7] = 0.0
+        x[::11] = np.round(x[::11], 3)
+        step = np.arange(n) - 7
+        labels = np.array([b"%d" % i for i in range(n)], dtype="S8")
+        assert_same_blocks("%d,%.17g,%r\n", [step, x, x])
+        assert_same_blocks('{"i": %d, "x": %r}', [step, x], ", ")
+        assert "".join(format_rows("%s|%r\n", [labels, x])) == \
+            "".join(oracle_format_rows("%s|%r\n", [labels.astype(str).astype(object), x]))
 
 
 class TestGridCsv:
