@@ -12,9 +12,13 @@ Every field prints exactly what Python's ``%`` prints for the value. Float
 digits come from an exact kernel built from IEEE basic operations (``+``,
 ``-``, ``*``, ``floor``, ``rint`` and comparisons, correctly rounded on
 every host and SIMD path), integer arithmetic and table lookups.
-``np.log10`` only guesses the decimal exponent, and the guess is checked
-exactly, so no libm result reaches a digit. Python formats a value itself
-only where the kernel cannot prove its digits: see ``_float_text``.
+``np.log10`` only guesses the decimal exponent E; one comparison each way
+with the least doubles at or above 10^E and 10^(E + 1) makes it exact, so
+no libm result reaches a digit. An integer column whose every value lies
+within 2^53 of zero goes through the same kernel, since %.17g of such an
+integer's double is its %d. Python formats an integer column past that
+bound, and a float only where the kernel cannot prove its digits: see
+``_float_text``.
 """
 
 from __future__ import annotations
@@ -38,8 +42,20 @@ _LO = np.array([float(10 ** q - int(h)) for q, h in enumerate(_HI.tolist())])
 _HH = _HI * _SPLIT - (_HI * _SPLIT - _HI)
 _HL = _HI - _HH
 
-# The kernel's range: a scaled value |x| 10^(16 - E) stays inside the table.
-_FAST_MIN, _FAST_MAX = 1e-30, 1e17
+
+def _least_double_at_least(k: int) -> float:
+    """The least double >= 10^k, compared exactly as integer ratios."""
+    f = float(f"1e{k}")
+    num, den = f.as_integer_ratio()
+    below = num * 10 ** -k < den if k < 0 else num < den * 10 ** k
+    return np.nextafter(f, np.inf) if below else f
+
+
+# |x| >= _POW[k + 30] exactly when |x| >= 10^k, for k in [-30, 17]. The
+# kernel's range is [_POW[0], _POW[-1]): there E = floor(log10 |x|) lies in
+# [-30, 16], and the scaled value |x| 10^(16 - E) stays inside the table.
+_E_MIN = -30
+_POW = np.array([_least_double_at_least(k) for k in range(_E_MIN, 18)])
 # Scaled values are off by at most about 1e-14 where 10^q is not a double;
 # within _TOL of a rounding decision the kernel leaves the value to Python.
 _TOL = 2.0 ** -32
@@ -78,22 +94,13 @@ for _k in range(1, 5):
 _FLOAT_WIDTH = 32
 _HEADER = _words([sign + (b"0." + b"0" * (z - 1) if z else b"")
                   for sign in (b"", b"-") for z in range(5)])[:, 0]
-_KEEP = _words([b"\xff" * (k + 1) for k in range(17)], 24)
-_SKEEP = _words([b"\0" + b"\xff" * (k + 1) for k in range(17)], 24)
-_HEAD = _words([b"\xff" * 24] + [b"\xff" * (d + 1) for d in range(16)], 24)
-_TAIL = _words([b""] + [b"\0" * (d + 2) + b"\xff" * (22 - d) for d in range(16)], 24)
-_DOT = _words([b""] + [b"\0" * (d + 1) + b"." for d in range(16)], 24)
-_A = (_HEAD[:, None] & _KEEP).reshape(-1, 3).T.copy()
-_B = (_TAIL[:, None] & _SKEEP).reshape(-1, 3).T.copy()
-_C = np.repeat(_DOT, 17, axis=0).T.copy()
-_E_MIN = -30
+_A, _B, _C = (_words(masks, 24).T.copy() for masks in zip(*[
+    (b"\xff" * (keep + 1), b"", b"") if dot < 0 else
+    (b"\xff" * (min(keep, dot) + 1), b"\0" * (dot + 2) + b"\xff" * (keep - dot),
+     b"\0" * (dot + 1) + b".")
+    for dot in range(-1, 16) for keep in range(17)]))
 _SUFFIX = _words([b"\0\0" + (b"e%+03d" % e if e < -4 or e > 15 else b"")
                   for e in range(_E_MIN, 18)])[:, 0]
-
-# An integer's text takes four words: the sign, then 20 digits less the
-# leading zeros.
-_POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
-_LEAD = _words([b"\0" * k + b"\xff" * (20 - k) for k in range(20)], 24)
 
 
 def format_rows(template: str, columns: Sequence[np.ndarray],
@@ -138,8 +145,12 @@ def _field_text(spec: str, col: np.ndarray) -> np.ndarray:
     NUL-padded."""
     if col.dtype == np.float64 and spec != "d":
         return _float_text(col, spec != ".17g")
-    if col.dtype.kind == "i" and spec != ".17g":
-        return _int_text(col.astype(np.int64))
+    if col.dtype.kind == "i":
+        # An integer within 2^53 is a double, and its %.17g is its %d; %.17g
+        # of any integer prints the nearest double, as the cast does.
+        v = col.astype(np.int64)
+        if spec == ".17g" or ((v >= -2 ** 53) & (v <= 2 ** 53)).all():
+            return _float_text(v.astype(np.float64), False)
     if col.dtype.kind == "S" and spec == "s":
         return np.ascontiguousarray(col).view(np.uint8).reshape(len(col), -1)
     return _python_text(spec, col.tolist(), 0)
@@ -175,41 +186,33 @@ def _float_text(x: np.ndarray, shortest: bool) -> np.ndarray:
     """``%.17g`` (or, if ``shortest``, ``repr``) of each float as a row of
     ``_FLOAT_WIDTH`` NUL-padded bytes.
 
-    The kernel takes |x| in [1e-30, 1e17) and +-0. E = floor(log10 |x|) is
-    checked by the scaled value S = |x| 10^(16 - E) lying in [1e16, 1e17),
-    and the 17 digits are S rounded half-even. repr's digits are the first
-    of the 15-, 16- and 17-digit roundings within half a unit in the last
-    place of x, that is within h = spacing(x) 10^(16 - E) / 2 of S: a
-    shorter string that reads back as x is the 15-digit rounding padded
-    with zeros. Python formats the rest: values out of that range, NaN and
-    inf, powers of two under repr (their lower neighbour is nearer), and any
-    value whose S lies within ``_TOL`` of a rounding decision: of repr's
-    bound h, of a half in a 15- or 16-digit rounding, or of a half in the
-    17-digit rounding where 10^q is not a double.
+    The kernel takes +-0 and |x| in [_POW[0], _POW[-1]), that is in
+    [1e-30, 1e17) exactly. E = floor(log10 |x|) is the clipped log10 guess
+    moved down one where |x| < 10^E and up one where |x| >= 10^(E + 1),
+    both compared through _POW, so the scaled value S = |x| 10^(16 - E)
+    lies in [1e16, 1e17) and is computed once. The 17 digits are S rounded
+    half-even. repr's digits are the first of the 15-, 16- and 17-digit
+    roundings within half a unit in the last place of x, that is within
+    h = spacing(x) 10^(16 - E) / 2 of S: a shorter string that reads back
+    as x is the 15-digit rounding padded with zeros. Python formats the
+    rest: values out of that range, NaN and inf, powers of two under repr
+    (their lower neighbour is nearer), and any value whose S lies within
+    ``_TOL`` of a rounding decision: of repr's bound h, of a half in a 15-
+    or 16-digit rounding, or of a half in the 17-digit rounding where 10^q
+    is not a double.
     """
     n = x.size
     a = np.abs(x)
     zero = a == 0.0
-    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
+    fast = (a >= _POW[0]) & (a < _POW[-1])
     if shortest:
         fast &= (x.view(np.uint64) & _MANTISSA) != 0
     a = np.where(fast, a, 1.0)
     fast |= zero
-    # |x| in range has E in [-30, 16]: the guess is clipped there, and so is
-    # its one correction, so that q = 16 - E indexes the table.
-    E = np.clip(np.floor(np.log10(a)), -30, 16).astype(np.int64)
+    E = np.clip(np.floor(np.log10(a)), _E_MIN, 16).astype(np.int64)
+    E -= a < _POW[E - _E_MIN]
+    E += a >= _POW[E - _E_MIN + 1]
     s, r, hi, lo = _scaled(a, 16 - E)
-    low = (s < 1e16) | ((s == 1e16) & (r < 0))
-    high = (s > 1e17) | ((s == 1e17) & (r >= 0))
-    fix = np.flatnonzero(low | high)
-    if fix.size:
-        E[fix] = np.clip(E[fix] + high[fix] - low[fix].astype(np.int64), -30, 16)
-        s[fix], r[fix], hi[fix], lo[fix] = _scaled(a[fix], 16 - E[fix])
-        sf, rf = s[fix], r[fix]
-        off = fix[(sf < 1e16) | ((sf == 1e16) & (rf < 0))
-                  | (sf > 1e17) | ((sf == 1e17) & (rf >= 0))]
-        fast[off] = False
-        s[off] = 1e16
     k = np.rint(r)
     d = r - k                      # S - N, exact where lo == 0
     N = s.astype(np.int64) + k.astype(np.int64)
@@ -232,8 +235,6 @@ def _float_text(x: np.ndarray, shortest: bool) -> np.ndarray:
     carry = N == 10 ** 17
     N[carry] = 10 ** 16
     E += carry
-    E[~fast] = 0
-    N[~fast] = 10 ** 16
     N[zero] = 0
 
     d0, rest = _divmod(N, 10 ** 16)
@@ -275,20 +276,3 @@ def _float_text(x: np.ndarray, shortest: bool) -> np.ndarray:
         out[slow] = _python_text("r" if shortest else ".17g", x[slow].tolist(),
                                  _FLOAT_WIDTH)
     return out
-
-
-def _int_text(v: np.ndarray) -> np.ndarray:
-    """``%d`` of each int64 as a row of 32 NUL-padded bytes."""
-    u = v.view(np.uint64)
-    u = np.where(v < 0, ~u + 1, u)
-    first = 20 - np.maximum(np.searchsorted(_POW10, u, "right"), 1)
-    quads = []
-    for _ in range(4):
-        u, g = _divmod(u, 10 ** 4)
-        quads.append(_QUAD[g])
-    q4, q3, q2, q1 = quads
-    out = np.empty((v.size, 4), "<u8")
-    out[:, 0] = (v < 0) * np.uint64(45)
-    out[:, 1:] = np.stack([_QUAD[u] | (q1 << 32), q2 | (q3 << 32), q4], axis=1)
-    out[:, 1:] &= _LEAD[first]
-    return out.view(np.uint8)

@@ -487,9 +487,15 @@ class TestFormatRowsOracle:
             assert_same_blocks('{"x": %r}', [x], ", ")
 
     def test_integer_edges(self):
-        v = np.array([0, 1, -1, 9, -9, 10, -10, 10 ** 18, 10 ** 18 - 1,
-                      2 ** 63 - 1, -2 ** 63], dtype=np.int64)
-        assert_same_blocks("%d;", [v])
+        # Columns up to 2^53 print through the float digits, and one holding
+        # 2^53 + 1 must not: a bound checked after a cast would print it
+        # as 9007199254740992.
+        e = 2 ** 53
+        v = np.array([0, 1, -1, 9, -9, 10, -10, e - 1, 1 - e, e, -e, e + 1, -e - 1,
+                      10 ** 18, 10 ** 18 - 1, 2 ** 63 - 1, -2 ** 63], dtype=np.int64)
+        for column in (v[:7], v[:11], v[:12], v[:13], v[-1:], v):
+            assert_same_blocks("%d;", [column])
+            assert_same_blocks("%d;%.17g;%r\n", [column] * 3)
 
     @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
     def test_block_edges(self, n):
