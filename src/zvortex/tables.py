@@ -108,14 +108,20 @@ def format_rows(template: str, columns: Sequence[np.ndarray],
     """Yield the rows ``template % (c0[i], c1[i], ...)``, joined by ``sep``,
     in blocks of at most ``BLOCK_ROWS`` rows.
 
-    The columns are numpy arrays of one length, one per field. A field is
-    ``%.17g``, ``%r``, ``%d`` or ``%s`` and prints what ``%`` prints for
-    the column's value as a Python object, so a float column's ``%r``
-    prints the float's repr, as ``json`` does, and not ``np.float64(...)``.
-    The one exception: a ``%s`` field of a bytes (``S``) column takes the
-    bytes themselves. No separator is put between blocks. The template and
-    the values must not contain NUL; a template with another conversion,
-    or with one field too many or too few, is a ValueError.
+    The columns are numpy arrays, one per field, all of one length; columns
+    of unequal length are a ValueError. A field is ``%.17g``, ``%r``, ``%d``
+    or ``%s`` and prints what ``%`` prints for the column's value as a
+    Python object, so a float column's ``%r`` prints the float's repr, as
+    ``json`` does, and not ``np.float64(...)``. The one exception: a ``%s``
+    field of a bytes (``S``) column takes the bytes themselves. No separator
+    is put between blocks. The template and the values must not contain
+    NUL; a template with another conversion, or with one field too many or
+    too few, is a ValueError.
+
+    The float kernel costs a fixed time per call. So a column passed for
+    several fields (one array object) with one text is formatted once a
+    block, and a block of under ``BLOCK_ROWS`` rows shares kernel calls
+    among its fields (see ``_packed_text``).
     """
     pieces = _FIELD.split(template)
     literals, specs = [p.encode() for p in pieces[::2]], pieces[1::2]
@@ -123,14 +129,20 @@ def format_rows(template: str, columns: Sequence[np.ndarray],
     if b"\0" in joined or b"%" in joined or len(specs) != len(columns):
         raise ValueError(f"template {template!r} does not fit {len(columns)} "
                          "columns, or holds NUL or another conversion")
+    n = len(columns[0]) if columns else 0
+    for col in columns:
+        if len(col) != n:
+            raise ValueError(f"columns of unequal length: {n} and {len(col)}")
     literals[-1] += sep.encode()
     cut = len(sep.encode())
     literals = [np.frombuffer(p, np.uint8) for p in literals]
-    n = len(columns[0]) if columns else 0
     for start in range(0, n, BLOCK_ROWS):
+        # One slice a column object, so a repeated column is one object here.
+        sliced = {id(c): c[start:start + BLOCK_ROWS] for c in columns}
         parts = [literals[0]]
-        for spec, col, literal in zip(specs, columns, literals[1:]):
-            parts += [_field_text(spec, col[start:start + BLOCK_ROWS]), literal]
+        for text, literal in zip(_block_text(specs, [sliced[id(c)] for c in columns]),
+                                 literals[1:]):
+            parts += [text, literal]
         rows = len(parts[1])
         matrix = np.hstack([np.broadcast_to(p, (rows, p.shape[-1])) for p in parts])
         del parts
@@ -140,17 +152,61 @@ def format_rows(template: str, columns: Sequence[np.ndarray],
         yield block[:len(block) - cut].decode()
 
 
-def _field_text(spec: str, col: np.ndarray) -> np.ndarray:
-    """One field's text for each value, as a (rows, width) uint8 matrix,
-    NUL-padded."""
+def _block_text(specs: Sequence[str], cols: Sequence[np.ndarray]) -> list:
+    """Each field's text for one block, as a (rows, width) uint8 matrix,
+    NUL-padded. A field of an earlier field's column shares its text where
+    the spec or the kernel mode is the same."""
+    keys, texts, kernel = [], {}, ({}, {})
+    for spec, col in zip(specs, cols):
+        route = _kernel_input(spec, col)
+        if route is None:
+            key = spec, id(col)
+            if key not in texts:
+                texts[key] = _other_text(spec, col)
+        else:
+            key = route[0], id(col)
+            kernel[route[0]].setdefault(key, route[1])
+        keys.append(key)
+    for shortest, fields in enumerate(kernel):
+        if fields:
+            texts.update(zip(fields, _packed_text(list(fields.values()),
+                                                  bool(shortest))))
+    return [texts[key] for key in keys]
+
+
+def _packed_text(xs: Sequence[np.ndarray], shortest: bool) -> list:
+    """``_float_text`` of each of the equal-length arrays ``xs``. Short
+    arrays are concatenated and formatted in calls of at most
+    ``BLOCK_ROWS`` values, so no call sees more values than a full
+    block's column does."""
+    rows = len(xs[0])
+    if len(xs) == 1 or rows >= BLOCK_ROWS:
+        return [_float_text(x, shortest) for x in xs]
+    x = np.concatenate(xs)
+    out = np.empty((x.size, _FLOAT_WIDTH), np.uint8)
+    for i in range(0, x.size, BLOCK_ROWS):
+        out[i:i + BLOCK_ROWS] = _float_text(x[i:i + BLOCK_ROWS], shortest)
+    return np.split(out, len(xs))
+
+
+def _kernel_input(spec: str, col: np.ndarray):
+    """The one rule for whether a field goes through the float kernel:
+    ``(shortest, doubles)`` where it prints ``repr`` (True) or ``%.17g``
+    (False) of ``doubles``, and None where it does not."""
     if col.dtype == np.float64 and spec != "d":
-        return _float_text(col, spec != ".17g")
+        return spec != ".17g", col
     if col.dtype.kind == "i":
         # An integer within 2^53 is a double, and its %.17g is its %d; %.17g
         # of any integer prints the nearest double, as the cast does.
         v = col.astype(np.int64)
         if spec == ".17g" or ((v >= -2 ** 53) & (v <= 2 ** 53)).all():
-            return _float_text(v.astype(np.float64), False)
+            return False, v.astype(np.float64)
+    return None
+
+
+def _other_text(spec: str, col: np.ndarray) -> np.ndarray:
+    """The text of a field that ``_kernel_input`` leaves out of the float
+    kernel, as a (rows, width) uint8 matrix, NUL-padded."""
     if col.dtype.kind == "S" and spec == "s":
         return np.ascontiguousarray(col).view(np.uint8).reshape(len(col), -1)
     return _python_text(spec, col.tolist(), 0)

@@ -185,45 +185,58 @@ def _contour_nodes(center: CParam, radius: float, n_points: int):
     return center.x + offset.real, center.y + offset.imag, 1j * offset * dtheta
 
 
-def _contour_sum(re, im, dc) -> complex:
-    """sum((re + i im) * dc) over the nodes, in real arithmetic, so that no
-    complex kernel, which numpy picks by the host's SIMD features, sets a
-    digit."""
-    return complex(np.sum(re * dc.real - im * dc.imag),
-                   np.sum(re * dc.imag + im * dc.real))
+def _contour_sums(re, im, dc) -> list:
+    """sum((re + i im) * dc) over the nodes, the last axis, in real
+    arithmetic, so that no complex kernel, which numpy picks by the host's
+    SIMD features, sets a digit: one Python complex per leading index, in
+    C order."""
+    return [complex(a, b) for a, b in zip(
+        np.sum(re * dc.real - im * dc.imag, axis=-1).ravel().tolist(),
+        np.sum(re * dc.imag + im * dc.real, axis=-1).ravel().tolist())]
+
+
+def _wave_value(sums: list, shape: tuple) -> WaveValue:
+    """The contour results as one WaveValue: floats for a scalar z, arrays
+    of z's shape for an array z."""
+    if not shape:
+        return WaveValue.from_complex(sums[0])
+    return WaveValue.from_complex(np.array(sums, complex).reshape(shape))
 
 
 def contour_integral(
-    z: float, center: CParam, radius: float, n_points: int = 1024
+    z, center: CParam, radius: float, n_points: int = 1024
 ) -> WaveValue:
     """Trapezoidal quadrature of the closed contour integral of psi(c) dc.
 
     The contour is the circle of given radius around ``center`` in the
     c-plane. psi is entire in c for fixed z > 0, so the exact value is 0;
     the returned magnitude is quadrature error only. Uniform sampling of a
-    periodic integrand makes the trapezoid rule spectrally accurate.
+    periodic integrand makes the trapezoid rule spectrally accurate. An
+    array z gives one sum per value, from one evaluation over the nodes.
     """
     x, y, dc = _contour_nodes(center, radius, n_points)
-    psi = psi_values(z, x, y)
-    return WaveValue.from_complex(_contour_sum(psi.real, psi.imag, dc))
+    psi = psi_values(np.expand_dims(z, -1), x, y)
+    return _wave_value(_contour_sums(psi.real, psi.imag, dc), np.shape(z))
 
 
 def cauchy_formula(
-    z: float, a: CParam, center: CParam, radius: float, n_points: int = 2048
+    z, a: CParam, center: CParam, radius: float, n_points: int = 2048
 ) -> WaveValue:
     """Reconstruct psi(a) from the Cauchy integral formula over a circle.
 
-    ``a`` must lie strictly inside the contour.
+    ``a`` must lie strictly inside the contour. An array z gives one value
+    per z, as ``contour_integral`` does; each sum is divided by 2 pi i as a
+    Python complex.
     """
     x, y, dc = _contour_nodes(center, radius, n_points)
     if math.hypot(a.x - center.x, a.y - center.y) >= radius:
         raise DomainError("evaluation point must lie strictly inside the contour")
     # psi / (dx + i dy) = psi (dx - i dy) / (dx^2 + dy^2).
-    psi, dx, dy = psi_values(z, x, y), x - a.x, y - a.y
+    psi, dx, dy = psi_values(np.expand_dims(z, -1), x, y), x - a.x, y - a.y
     d2 = dx * dx + dy * dy
-    total = _contour_sum((psi.real * dx + psi.imag * dy) / d2,
+    sums = _contour_sums((psi.real * dx + psi.imag * dy) / d2,
                          (psi.imag * dx - psi.real * dy) / d2, dc)
-    return WaveValue.from_complex(total / (2j * math.pi))
+    return _wave_value([w / (2j * math.pi) for w in sums], np.shape(z))
 
 
 def normalizability(z: float, x: float) -> NormalizabilityKind:

@@ -63,6 +63,18 @@ class TestVerify:
                 "cauchy_formula", "real_solution_R", "one_vortex_I",
                 "zero_vortex_I"} <= names
 
+    def test_one_contour_evaluation_per_contour(self, runner, monkeypatch):
+        # The three contour z values share one call per contour and sum.
+        calls = []
+        for name in ("contour_integral", "cauchy_formula"):
+            def counted(z, *args, _f=getattr(wc, name)):
+                calls.append(len(z))
+                return _f(z, *args)
+            monkeypatch.setattr(wc, name, counted)
+        result = runner.invoke(cli, ["verify"])
+        assert result.exit_code == 0, result.output
+        assert calls == [3, 3, 3, 3]
+
     def test_csv_output(self, runner):
         result = runner.invoke(cli, ["verify"])
         assert result.exit_code == 0

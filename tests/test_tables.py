@@ -22,7 +22,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zvortex import energy
+from zvortex import energy, tables
 from zvortex import vortex as vx
 from zvortex.cli import cli
 from zvortex.energy import BelowLadderError, EnergyLadder
@@ -288,6 +288,18 @@ def params_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("tables") / "params.json")
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(values, shortest) of each float-kernel call the row writer makes."""
+    calls = []
+
+    def counted(x, shortest, _real=tables._float_text):
+        calls.append((x.size, shortest))
+        return _real(x, shortest)
+    monkeypatch.setattr(tables, "_float_text", counted)
+    return calls
+
+
 def run(command, params, path, fmt):
     with open(path, "w") as fh:
         json.dump(params, fh)
@@ -376,6 +388,49 @@ class TestFormatRows:
         assert text == "0.1 0.1 0.10000000000000001;-0.0 -0.0 -0;"
         assert "np." not in text
 
+    @pytest.mark.parametrize("lengths", [(3, 1), (1, 3)])
+    def test_columns_of_unequal_length_are_rejected(self, lengths):
+        # A length-1 column was once repeated on every row.
+        columns = [np.arange(k) + 7.5 for k in lengths]
+        with pytest.raises(ValueError, match="%d and %d" % lengths):
+            list(format_rows("%.17g,%.17g\n", columns))
+
+
+class TestKernelCalls:
+    """How a block's fields reach the float kernel: each distinct column
+    once, and a short block's fields of one mode in shared calls."""
+
+    @pytest.mark.parametrize("n", [10, BLOCK_ROWS + 5])
+    def test_a_column_named_twice_is_formatted_once(self, kernel_calls, n):
+        x = np.arange(n) / 3.0
+        assert_same_blocks("%r,%r;%s\n", [x, x, x])
+        assert kernel_calls == [(len(x[i:i + BLOCK_ROWS]), True)
+                                for i in range(0, n, BLOCK_ROWS)]
+
+    def test_a_column_in_both_modes_is_formatted_in_both(self, kernel_calls):
+        x = np.arange(10) / 3.0
+        assert_same_blocks("%.17g,%r\n", [x, x])
+        assert sorted(kernel_calls) == [(10, False), (10, True)]
+
+    @pytest.mark.parametrize("n, sizes", [
+        (1000, [4000]),
+        (3000, [BLOCK_ROWS, BLOCK_ROWS, 4 * 3000 - 2 * BLOCK_ROWS]),
+        (BLOCK_ROWS, [BLOCK_ROWS] * 4)])
+    def test_short_blocks_share_calls(self, kernel_calls, n, sizes):
+        rng = np.random.default_rng(n)
+        columns = [rng.standard_normal(n) * 10.0 ** k for k in (-3, 0, 5, 20)]
+        assert_same_blocks("%.17g,%.17g,%.17g,%.17g\n", columns)
+        assert kernel_calls == [(size, False) for size in sizes]
+
+    def test_integers_within_2_53_join_the_float_call(self, kernel_calls):
+        x = np.arange(100) / 7.0
+        for top, sizes in ((2 ** 53, [200]), (2 ** 53 + 1, [100])):
+            kernel_calls.clear()
+            v = np.arange(100, dtype=np.int64) - 50
+            v[7] = top
+            assert_same_blocks("%d,%.17g\n", [v, x])
+            assert kernel_calls == [(size, False) for size in sizes]
+
 
 def bits_to_floats(bits) -> np.ndarray:
     return np.array(bits, dtype=np.uint64).view(np.float64)
@@ -446,6 +501,31 @@ def templates_and_columns(draw):
     return template, columns
 
 
+@st.composite
+def shared_columns(draw):
+    """1-6 fields over 1-3 column objects, each named by any number of
+    fields under mixed specs, with row counts on either side of a full
+    block: float columns under %.17g, %r and %s; int64 columns, some past
+    2^53, under any of the four."""
+    n = draw(st.sampled_from([BLOCK_ROWS // 3, BLOCK_ROWS - 1, BLOCK_ROWS,
+                              BLOCK_ROWS + 1, 2 * BLOCK_ROWS - 1]) | st.integers(1, 40))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            pool.append(np.resize(np.array(draw(float_values)), n))
+        else:
+            ints = st.integers(-2 ** 63, 2 ** 63 - 1) | st.integers(-2 ** 53 - 2, 2 ** 53 + 2)
+            pool.append(np.resize(np.array(draw(st.lists(ints, min_size=1, max_size=20)),
+                                           dtype=np.int64), n))
+    template, columns = draw(literal), []
+    for _ in range(draw(st.integers(1, 6))):
+        column = draw(st.sampled_from(pool))
+        specs = ["%.17g", "%r", "%s"] + (["%d"] if column.dtype.kind == "i" else [])
+        template += draw(st.sampled_from(specs)) + draw(literal)
+        columns.append(column)
+    return template, columns
+
+
 def assert_same_blocks(template, columns, sep=""):
     assert list(format_rows(template, columns, sep)) == \
         list(oracle_format_rows(template, columns, sep))
@@ -469,6 +549,12 @@ class TestFormatRowsOracle:
     @given(case=templates_and_columns(), sep=st.sampled_from(["", ", ", "\n"]))
     @settings(max_examples=400, deadline=None)
     def test_mixed_fields(self, case, sep):
+        template, columns = case
+        assert_same_blocks(template, columns, sep)
+
+    @given(case=shared_columns(), sep=st.sampled_from(["", ", "]))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_columns(self, case, sep):
         template, columns = case
         assert_same_blocks(template, columns, sep)
 
@@ -671,6 +757,17 @@ class TestGeometryOutput:
         assert len(result.output.splitlines()) == 1 + 5 * n - 1
         assert calls == {"gradient_map_segment": 2, "segment_involution": 1,
                          "squared_map": 2}
+
+    @pytest.mark.parametrize("n", [3, 300, 2000])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_value_is_formatted_once(self, params_path, kernel_calls, n, fmt):
+        # z, px (= py) for each segment, where pz is z; z, px (= py) and pz
+        # for the n - 1 involution points and each squared section.
+        result = run("geometry", {"k": 1.1, "n": n, "z_max": 3.0}, params_path, fmt)
+        assert result.exit_code == 0, result.output
+        assert sum(size for size, _ in kernel_calls) == 13 * n - 3
+        calls = lambda values: -(-values // BLOCK_ROWS)
+        assert len(kernel_calls) == 2 * calls(2 * n) + calls(3 * n - 3) + 2 * calls(3 * n)
 
 
 class TestLadderOutput:

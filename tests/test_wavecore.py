@@ -335,6 +335,21 @@ class TestContour:
         fine = contour_integral(3.0, CParam(0.0, 0.0), 2.0, 16).magnitude()
         assert fine < coarse / 4.0
 
+    def test_array_z_is_each_scalar_sum(self):
+        # One evaluation over the nodes for every z, with the bits of the
+        # scalar calls, the division by 2 pi i included.
+        z = np.array([[0.3, 0.7], [1.3, 2.0]])
+        center, a = CParam(0.4, -1.1), CParam(0.5, -1.0)
+        for got, one in ((contour_integral(z, center, 1.2, 512),
+                          lambda w: contour_integral(w, center, 1.2, 512)),
+                         (cauchy_formula(z, a, center, 1.2, 1024),
+                          lambda w: cauchy_formula(w, a, center, 1.2, 1024))):
+            want = [one(w) for w in z.ravel().tolist()]
+            assert got.u.shape == got.v.shape == z.shape
+            assert got.u.ravel().tolist() == [w.u for w in want]
+            assert got.v.ravel().tolist() == [w.v for w in want]
+            assert all(type(w.u) is float for w in want)
+
 
 class TestCauchyFormula:
     def test_reproduces_eval_psi(self):
