@@ -1,9 +1,9 @@
 """Command-line driver: verification suites, trajectories, energy ladders,
 ensemble runs, and line-segment geometry, with deterministic CSV/JSON output.
 
-Exit codes: 0 success, 1 check or domain failure, 2 usage error. All floats
-are printed with 17 significant digits so identical configs give
-byte-identical output.
+Exit codes: 0 success, 1 check or domain failure, 2 usage error. CSV prints
+floats with %.17g and JSON prints their repr, as json does; both read back
+as the same double, so identical configs give byte-identical output.
 """
 
 from __future__ import annotations

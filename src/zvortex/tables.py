@@ -118,10 +118,11 @@ def format_rows(template: str, columns: Sequence[np.ndarray],
     NUL; a template with another conversion, or with one field too many or
     too few, is a ValueError.
 
-    The float kernel costs a fixed time per call. So a column passed for
-    several fields (one array object) with one text is formatted once a
-    block, and a block of under ``BLOCK_ROWS`` rows shares kernel calls
-    among its fields (see ``_packed_text``).
+    Each field's text is decided once per table, before the first block
+    (see ``_text``). The float kernel costs a fixed time per call, so a
+    column passed for several fields (one array object) with one text is
+    formatted once a block, and each block packs its kernel fields of one
+    mode into calls of at most ``BLOCK_ROWS`` values (see ``_packed_text``).
     """
     pieces = _FIELD.split(template)
     literals, specs = [p.encode() for p in pieces[::2]], pieces[1::2]
@@ -136,13 +137,23 @@ def format_rows(template: str, columns: Sequence[np.ndarray],
     literals[-1] += sep.encode()
     cut = len(sep.encode())
     literals = [np.frombuffer(p, np.uint8) for p in literals]
+    # Each field's key is its column and its text; each distinct key's
+    # column, in field order, is formatted once a block.
+    keys = [(id(col), _text(spec, col)) for spec, col in zip(specs, columns)]
+    plan = dict(zip(keys, columns))
+    kernel = {mode: [key for key in plan if key[1] is mode] for mode in (False, True)}
     for start in range(0, n, BLOCK_ROWS):
-        # One slice a column object, so a repeated column is one object here.
-        sliced = {id(c): c[start:start + BLOCK_ROWS] for c in columns}
+        part = {key: col[start:start + BLOCK_ROWS] for key, col in plan.items()}
+        texts = {key: _other_text(key[1], x) for key, x in part.items()
+                 if not isinstance(key[1], bool)}
+        for shortest, packed in kernel.items():
+            if packed:
+                texts.update(zip(packed, _packed_text([part[key] for key in packed],
+                                                      shortest)))
         parts = [literals[0]]
-        for text, literal in zip(_block_text(specs, [sliced[id(c)] for c in columns]),
-                                 literals[1:]):
-            parts += [text, literal]
+        for key, literal in zip(keys, literals[1:]):
+            parts += [texts[key], literal]
+        del texts
         rows = len(parts[1])
         matrix = np.hstack([np.broadcast_to(p, (rows, p.shape[-1])) for p in parts])
         del parts
@@ -152,64 +163,41 @@ def format_rows(template: str, columns: Sequence[np.ndarray],
         yield block[:len(block) - cut].decode()
 
 
-def _block_text(specs: Sequence[str], cols: Sequence[np.ndarray]) -> list:
-    """Each field's text for one block, as a (rows, width) uint8 matrix,
-    NUL-padded. A field of an earlier field's column shares its text where
-    the spec or the kernel mode is the same."""
-    keys, texts, kernel = [], {}, ({}, {})
-    for spec, col in zip(specs, cols):
-        route = _kernel_input(spec, col)
-        if route is None:
-            key = spec, id(col)
-            if key not in texts:
-                texts[key] = _other_text(spec, col)
-        else:
-            key = route[0], id(col)
-            kernel[route[0]].setdefault(key, route[1])
-        keys.append(key)
-    for shortest, fields in enumerate(kernel):
-        if fields:
-            texts.update(zip(fields, _packed_text(list(fields.values()),
-                                                  bool(shortest))))
-    return [texts[key] for key in keys]
+def _text(spec: str, col: np.ndarray):
+    """The one rule for how a field of ``col`` gets its text: True or False
+    where the float kernel prints its ``repr`` or ``%.17g``, "S" where a
+    bytes column fills a ``%s`` field itself, else the spec, for Python's
+    ``%``."""
+    if col.dtype == np.float64 and spec != "d":
+        return spec != ".17g"
+    # An integer within 2^53 is a double, and its %.17g is its %d; %.17g of
+    # any integer prints the nearest double, as the cast does.
+    if col.dtype.kind == "i" and (spec == ".17g" or -2 ** 53 <= int(col.min(initial=0))
+                                  and int(col.max(initial=0)) <= 2 ** 53):
+        return False
+    if col.dtype.kind == "S" and spec == "s":
+        return "S"
+    return spec
 
 
 def _packed_text(xs: Sequence[np.ndarray], shortest: bool) -> list:
-    """``_float_text`` of each of the equal-length arrays ``xs``. Short
-    arrays are concatenated and formatted in calls of at most
-    ``BLOCK_ROWS`` values, so no call sees more values than a full
-    block's column does."""
-    rows = len(xs[0])
-    if len(xs) == 1 or rows >= BLOCK_ROWS:
-        return [_float_text(x, shortest) for x in xs]
-    x = np.concatenate(xs)
+    """``_float_text`` of each of the equal-length arrays ``xs``, cast to
+    doubles. They are concatenated and formatted in calls of at most
+    ``BLOCK_ROWS`` values, so a full block's calls line up with its fields
+    and no call sees more values than a full block's column does."""
+    x = np.concatenate(xs).astype(np.float64, copy=False)
     out = np.empty((x.size, _FLOAT_WIDTH), np.uint8)
     for i in range(0, x.size, BLOCK_ROWS):
         out[i:i + BLOCK_ROWS] = _float_text(x[i:i + BLOCK_ROWS], shortest)
     return np.split(out, len(xs))
 
 
-def _kernel_input(spec: str, col: np.ndarray):
-    """The one rule for whether a field goes through the float kernel:
-    ``(shortest, doubles)`` where it prints ``repr`` (True) or ``%.17g``
-    (False) of ``doubles``, and None where it does not."""
-    if col.dtype == np.float64 and spec != "d":
-        return spec != ".17g", col
-    if col.dtype.kind == "i":
-        # An integer within 2^53 is a double, and its %.17g is its %d; %.17g
-        # of any integer prints the nearest double, as the cast does.
-        v = col.astype(np.int64)
-        if spec == ".17g" or ((v >= -2 ** 53) & (v <= 2 ** 53)).all():
-            return False, v.astype(np.float64)
-    return None
-
-
-def _other_text(spec: str, col: np.ndarray) -> np.ndarray:
-    """The text of a field that ``_kernel_input`` leaves out of the float
-    kernel, as a (rows, width) uint8 matrix, NUL-padded."""
-    if col.dtype.kind == "S" and spec == "s":
-        return np.ascontiguousarray(col).view(np.uint8).reshape(len(col), -1)
-    return _python_text(spec, col.tolist(), 0)
+def _other_text(text: str, x: np.ndarray) -> np.ndarray:
+    """The text of a field that ``_text`` leaves out of the float kernel,
+    as a (rows, width) uint8 matrix, NUL-padded."""
+    if text == "S":
+        return np.ascontiguousarray(x).view(np.uint8).reshape(len(x), -1)
+    return _python_text(text, x.tolist(), 0)
 
 
 def _python_text(spec: str, values: list, width: int) -> np.ndarray:

@@ -16,7 +16,6 @@ gradient-map line-segment geometry.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .schrodinger_field import PhysicalParams, ZField, exponential_field
-from .tables import BLOCK_ROWS
 from .wavecore import DomainError, _require_positive, float_range
 
 # The closed forms below hold for the paper-default exponent x=1, y=2.
@@ -146,15 +144,13 @@ def imag_solution(branch: Branch, u_f: float, params: PhysicalParams,
 
 
 def _mapped(f, x: np.ndarray) -> np.ndarray:
-    """``f`` applied to each value of the 1-d array, as Python floats, a
-    block of ``BLOCK_ROWS`` values at a time.
+    """``f`` applied to each value of the 1-d array, as Python floats read
+    one at a time through a memoryview, so no list of the array is made.
 
     ``math.exp``, ``cos`` and ``sin`` keep the bits of the scalar formulas;
     numpy's versions differ from them in the last place on some arguments.
     """
-    return np.fromiter(itertools.chain.from_iterable(
-        map(f, x[i:i + BLOCK_ROWS].tolist()) for i in range(0, x.size, BLOCK_ROWS)),
-        float, x.size)
+    return np.fromiter(map(f, memoryview(x)), float, x.size)
 
 
 @float_range("vortex radius")

@@ -415,7 +415,8 @@ class TestKernelCalls:
     @pytest.mark.parametrize("n, sizes", [
         (1000, [4000]),
         (3000, [BLOCK_ROWS, BLOCK_ROWS, 4 * 3000 - 2 * BLOCK_ROWS]),
-        (BLOCK_ROWS, [BLOCK_ROWS] * 4)])
+        (BLOCK_ROWS, [BLOCK_ROWS] * 4),
+        (BLOCK_ROWS + 1000, [BLOCK_ROWS] * 4 + [4000])])
     def test_short_blocks_share_calls(self, kernel_calls, n, sizes):
         rng = np.random.default_rng(n)
         columns = [rng.standard_normal(n) * 10.0 ** k for k in (-3, 0, 5, 20)]
@@ -430,6 +431,16 @@ class TestKernelCalls:
             v[7] = top
             assert_same_blocks("%d,%.17g\n", [v, x])
             assert kernel_calls == [(size, False) for size in sizes]
+
+    def test_the_2_53_bound_holds_for_the_whole_column(self, kernel_calls):
+        """An integer past 2^53 in the second block keeps the column out of
+        the kernel in the first block too."""
+        n = BLOCK_ROWS + 100
+        v = np.arange(n, dtype=np.int64) - 50
+        v[-1] = 2 ** 53 + 1
+        x = np.arange(n) / 7.0
+        assert_same_blocks("%d,%.17g\n", [v, x])
+        assert kernel_calls == [(BLOCK_ROWS, False), (100, False)]
 
 
 def bits_to_floats(bits) -> np.ndarray:
