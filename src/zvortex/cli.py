@@ -81,15 +81,37 @@ def _emit(path: str | None, *parts: Iterable[str]) -> None:
             fh.writelines(part)
 
 
-def _json_with_rows(doc: dict, key: str, blocks: Iterable[str]) -> Iterator[str]:
-    """Yield the parts of ``json.dumps({**doc, key: rows}, sort_keys=True)``
-    and a newline, where ``blocks`` hold the rows as JSON objects already
-    encoded and joined by ", "."""
-    head, tail = json.dumps({**doc, key: []}, sort_keys=True).split(f'"{key}": []')
-    yield head + f'"{key}": ['
-    for i, block in enumerate(blocks):
-        yield from (", ", block) if i else (block,)
-    yield "]" + tail + "\n"
+def _emit_table(out_path: str | None, fmt: str, key: str, sections: list[dict],
+                doc: dict | None = None) -> None:
+    """Write the rows of each section in turn. A section maps each field
+    name, in CSV order, to a column, or to a str without ``%`` that every
+    row of the section holds; every section has the same names.
+
+    CSV is a header of the names, the rows with each column as %.17g and
+    ``doc``, if given, as a ``# {json}`` footer. JSON is
+    ``json.dumps({**doc, key: rows}, sort_keys=True)`` and a newline, with
+    each column as %r."""
+    csv = fmt == "csv"
+
+    def rows(section: dict) -> Iterator[str]:
+        fields = section.items() if csv else sorted(section.items())
+        columns = [v for _, v in fields if not isinstance(v, str)]
+        if csv:
+            return format_rows(",".join(v if isinstance(v, str) else "%.17g"
+                                        for _, v in fields) + "\n", columns)
+        return format_rows("{" + ", ".join(
+            f"{json.dumps(name)}: " + (json.dumps(v) if isinstance(v, str) else "%r")
+            for name, v in fields) + "}", columns, ", ")
+
+    blocks = (block for section in sections for block in rows(section))
+    if csv:
+        _emit(out_path, [",".join(sections[0]) + "\n"], blocks,
+              [] if doc is None else ["# " + json.dumps(doc, sort_keys=True) + "\n"])
+        return
+    head, tail = json.dumps({**(doc or {}), key: []}, sort_keys=True).split(f'"{key}": []')
+    _emit(out_path, [head + f'"{key}": ['],
+          (t for i, block in enumerate(blocks) for t in ((", ", block) if i else (block,))),
+          ["]" + tail + "\n"])
 
 
 def _finite(value) -> bool:
@@ -334,15 +356,7 @@ def cmd_trajectory(params_path, out_path, fmt, hbar, mass):
     footer = {"collapse_time": None if math.isinf(t_star) else t_star,
               "branch": sol.branch.value, "k": sol.k, "s": sol.s,
               "beta": sol.beta}
-    if fmt == "json":
-        _emit(out_path, _json_with_rows(footer, "points", format_rows(
-            '{"gradient_radius": %r, "radius": %r, "t": %r, "u": %r, "v": %r}',
-            [traj.gradient_radius, traj.radius, traj.t, traj.u, traj.v], ", ")))
-    else:
-        _emit(out_path, ["t,u,v,radius,gradient_radius\n"],
-              format_rows("%.17g,%.17g,%.17g,%.17g,%.17g\n",
-                          [traj.t, traj.u, traj.v, traj.radius, traj.gradient_radius]),
-              ["# " + json.dumps(footer, sort_keys=True) + "\n"])
+    _emit_table(out_path, fmt, "points", [vars(traj)], footer)
 
 
 # ---------------------------------------------------------------- ladder
@@ -361,13 +375,7 @@ def cmd_ladder(params_path, out_path, fmt, hbar, mass):
     schedule = _numbers(params, "schedule", maximum=MAX_STEPS)
     trace = energy_mod.k_jump_trace(energy_mod.EnergyLadder(tuple(eigenvalues)),
                                     schedule, phys)
-    if fmt == "json":
-        _emit(out_path, _json_with_rows({}, "trace", format_rows(
-            '{"E": %r, "j": %d, "k": %r, "step": %d}',
-            [trace.E, trace.j, trace.k, trace.step], ", ")))
-    else:
-        _emit(out_path, ["step,E,j,k\n"], format_rows(
-            "%d,%.17g,%d,%.17g\n", [trace.step, trace.E, trace.j, trace.k]))
+    _emit_table(out_path, fmt, "trace", [vars(trace)])
 
 
 # -------------------------------------------------------------- ensemble
@@ -437,25 +445,16 @@ def cmd_geometry(params_path, out_path, fmt):
     # One vortex call per section of rows, in output order, all made before
     # anything is written. A segment's pz holds its z values: z itself goes
     # in its place, so that the writer formats the column once.
-    sections = [
+    sections = [{"kind": kind, "z": z, **dict(zip(("px", "py", "pz"), p))}
+                for kind, z, p in (
         ("segment_one", one_z, (*vx.gradient_map_segment(one, k, one_z)[:2], one_z)),
         ("segment_zero", zero_z,
          (*vx.gradient_map_segment(zero, k, zero_z)[:2], zero_z)),
         ("involution", inv_z, vx.segment_involution((k * inv_z, k * inv_z, inv_z), k)),
         ("squared", zero_z, vx.squared_map(zero, k, zero_z)),
         ("squared", one_z, vx.squared_map(one, k, one_z)),
-    ]
-    if fmt == "json":
-        _emit(out_path, _json_with_rows({}, "points", (
-            row for kind, z, (px, py, pz) in sections
-            for row in format_rows(
-                f'{{"kind": "{kind}", "px": %r, "py": %r, "pz": %r, "z": %r}}',
-                [px, py, pz, z], ", "))))
-    else:
-        _emit(out_path, ["kind,z,px,py,pz\n"], (
-            row for kind, z, (px, py, pz) in sections
-            for row in format_rows(f"{kind},%.17g,%.17g,%.17g,%.17g\n",
-                                   [z, px, py, pz])))
+    )]
+    _emit_table(out_path, fmt, "points", sections)
 
 
 def main():

@@ -68,9 +68,6 @@ class ZField:
     value: ScalarField
     derivatives: Callable[..., tuple] | None = None
 
-    def __call__(self, rx, ry, t):
-        return self.value(rx, ry, t)
-
     def partials(self, point: Point) -> tuple:
         """Return (z, z_t, z_x, z_y, z_xx, z_yy) at the point.
 

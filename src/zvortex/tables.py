@@ -14,11 +14,12 @@ digits come from an exact kernel built from IEEE basic operations (``+``,
 every host and SIMD path), integer arithmetic and table lookups.
 ``np.log10`` only guesses the decimal exponent E; one comparison each way
 with the least doubles at or above 10^E and 10^(E + 1) makes it exact, so
-no libm result reaches a digit. An integer column whose every value lies
-within 2^53 of zero goes through the same kernel, since %.17g of such an
-integer's double is its %d. Python formats an integer column past that
-bound, and a float only where the kernel cannot prove its digits: see
-``_float_text``.
+no libm result reaches a digit. An integer column goes through the same
+kernel under ``%.17g``, which prints the integer's nearest double, and
+under ``%r`` and ``%s`` where its every value lies within 2^53 of zero,
+since such an integer's double prints as its digits. Python formats an
+integer column past that bound, and a float only where the kernel cannot
+prove its digits: see ``_float_text``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 BLOCK_ROWS = 4096
 
 # The conversions a template may hold.
-_FIELD = re.compile(r"%(\.17g|r|d|s)")
+_FIELD = re.compile(r"%(\.17g|r|s)")
 
 # 10^q for q in [0, 46] as the double nearest it (_HI) plus the double
 # nearest the rest (_LO), and _HI's Veltkamp halves for Dekker's product.
@@ -109,9 +110,9 @@ def format_rows(template: str, columns: Sequence[np.ndarray],
     in blocks of at most ``BLOCK_ROWS`` rows.
 
     The columns are numpy arrays, one per field, all of one length; columns
-    of unequal length are a ValueError. A field is ``%.17g``, ``%r``, ``%d``
-    or ``%s`` and prints what ``%`` prints for the column's value as a
-    Python object, so a float column's ``%r`` prints the float's repr, as
+    of unequal length are a ValueError. A field is ``%.17g``, ``%r`` or
+    ``%s`` and prints what ``%`` prints for the column's value as a Python
+    object, so a float column's ``%r`` prints the float's repr, as
     ``json`` does, and not ``np.float64(...)``. The one exception: a ``%s``
     field of a bytes (``S``) column takes the bytes themselves. No separator
     is put between blocks. The template and the values must not contain
@@ -168,10 +169,10 @@ def _text(spec: str, col: np.ndarray):
     where the float kernel prints its ``repr`` or ``%.17g``, "S" where a
     bytes column fills a ``%s`` field itself, else the spec, for Python's
     ``%``."""
-    if col.dtype == np.float64 and spec != "d":
+    if col.dtype == np.float64:
         return spec != ".17g"
-    # An integer within 2^53 is a double, and its %.17g is its %d; %.17g of
-    # any integer prints the nearest double, as the cast does.
+    # An integer within 2^53 is a double, and its %.17g is its repr; %.17g
+    # of any integer prints the nearest double, as the cast does.
     if col.dtype.kind == "i" and (spec == ".17g" or -2 ** 53 <= int(col.min(initial=0))
                                   and int(col.max(initial=0)) <= 2 ** 53):
         return False

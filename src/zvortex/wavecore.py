@@ -56,9 +56,6 @@ class WaveValue:
     def as_complex(self) -> complex:
         return complex(self.u, self.v)
 
-    def magnitude(self) -> float:
-        return math.hypot(self.u, self.v)
-
 
 class NormalizabilityKind(Enum):
     HALF_LINE_CONVERGENT = "half_line_convergent"

@@ -8,7 +8,7 @@ import sys
 import click
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zvortex
@@ -766,3 +766,30 @@ class TestParamsFuzz:
         assert result.exit_code in (0, 1, 2), (params, result.output)
         assert result.exception is None or isinstance(
             result.exception, SystemExit), (params, result.exception)
+
+
+class TestTableShape:
+    """The one table writer's rules at inputs no golden hash covers."""
+
+    @given(command=st.sampled_from(["trajectory", "ladder", "geometry"]),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_json_is_canonical_and_csv_rows_are_full(self, tmp_path_factory,
+                                                     command, data):
+        params = data.draw(st.fixed_dictionaries(GOOD_VALUES[command]))
+        path = tmp_path_factory.getbasetemp() / "table-params.json"
+        path.write_text(json.dumps(params))
+        out = {fmt: CliRunner().invoke(cli, [command, "--params", str(path),
+                                             "--format", fmt])
+               for fmt in ("csv", "json")}
+        assert out["csv"].exit_code == out["json"].exit_code, params
+        assume(out["csv"].exit_code == 0)
+        text = out["json"].output
+        # A bool, so that a failure prints no character diff of the output.
+        canonical = text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert canonical, params
+        header, *rows = csv.reader(line for line in out["csv"].output.splitlines()
+                                   if not line.startswith("# "))
+        assert all(len(row) == len(header) for row in rows), params
+        (points,) = (v for v in json.loads(text).values() if isinstance(v, list))
+        assert len(points) == len(rows)

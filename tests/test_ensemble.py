@@ -616,6 +616,34 @@ GOLDEN = [
 ]
 
 
+# The first draws of the two generators simulate takes from a seed: the
+# gaps, default_rng(seed).standard_exponential, and the branch uniforms,
+# the seed's first spawned generator's random.
+STREAMS = {
+    3: (["0x1.c29ee46871a72p-4", "0x1.8f023622a4854p-2",
+         "0x1.664850f488dddp+0", "0x1.199e73eade6d2p+1"],
+        ["0x1.152e6715443bep-1", "0x1.83c442108770ap-2",
+         "0x1.cc95ba3e84fd6p-1", "0x1.3bfed24a3ecbbp-1"]),
+    1001: (["0x1.416454e3ced17p-1", "0x1.616cc54026fe8p-6",
+            "0x1.546cf1b52e1c6p-3", "0x1.de48a18219485p-1"],
+           ["0x1.d8159e467a779p-1", "0x1.38a33155cdb10p-1",
+            "0x1.9c7c70dce3a1cp-2", "0x1.8595f6018fd87p-1"]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STREAMS))
+def test_random_streams_are_pinned(seed):
+    gaps = np.random.default_rng(seed).standard_exponential(4)
+    uniforms = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).random(4)
+    assert ([float(x).hex() for x in gaps], [float(x).hex() for x in uniforms]) \
+        == STREAMS[seed], (
+        f"numpy {np.__version__} draws other numbers for seed {seed}. NEP 19 keeps "
+        "the bit generators stable across numpy versions, but not Generator's "
+        "distribution algorithms (standard_exponential, random). Every seeded "
+        "ensemble output moves with these draws: GOLDEN in this file, and the "
+        "ensemble and bits entries of GOLDEN in tests/test_golden.py.")
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 

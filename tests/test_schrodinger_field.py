@@ -119,7 +119,7 @@ class TestPsiPartials:
         field = one_vortex_field(k=1.0, beta=1.0)
         point = (0.5, 0.5, 0.0)
         p_t, *_ = psi_partials(field, C12, point)
-        psi = cmath.exp(C12.as_complex() * math.log(field(*point)))
+        psi = cmath.exp(C12.as_complex() * math.log(field.value(*point)))
         assert p_t == pytest.approx(-3.0 * C12.as_complex() * psi, rel=1e-12)
 
     @pytest.mark.parametrize("point", [(0.1, 0.2, 0.0), (0.5, 0.5, 0.3),
@@ -167,7 +167,7 @@ class TestResiduals:
         field = real_eq_field(k=k, sign=1)
         pot = Potential.fixed(u_f)
         p = (0.3, 0.5, 0.0)
-        z = field(*p)
+        z = field.value(*p)
         expect = 0.5 * 2.0 / z * (k * k * z * z) + z * 2.0 * u_f / 5.0
         assert imag_residual(field, C12, NAT, pot, p) == pytest.approx(expect,
                                                                        rel=1e-10)
@@ -187,7 +187,7 @@ class TestResiduals:
         field = one_vortex_field(k=k)
         pot = Potential.fixed(2.5)
         p = (0.4, 0.6, 0.1)
-        z = field(*p)
+        z = field.value(*p)
         assert real_residual(field, C12, NAT, pot, p) == pytest.approx(
             0.5 * k * k * z, rel=1e-10)
 

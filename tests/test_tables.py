@@ -383,6 +383,11 @@ class TestFormatRows:
         with pytest.raises(ValueError):
             list(format_rows(template, [np.zeros(2)]))
 
+    def test_integer_conversion_is_rejected(self):
+        # Integer columns print through %.17g, %r or %s.
+        with pytest.raises(ValueError):
+            list(format_rows("%d", [np.arange(2)]))
+
     def test_values_print_as_python_floats(self):
         (text,) = format_rows("%r %s %.17g;", [np.array([0.1, -0.0])] * 3)
         assert text == "0.1 0.1 0.10000000000000001;-0.0 -0.0 -0;"
@@ -429,7 +434,7 @@ class TestKernelCalls:
             kernel_calls.clear()
             v = np.arange(100, dtype=np.int64) - 50
             v[7] = top
-            assert_same_blocks("%d,%.17g\n", [v, x])
+            assert_same_blocks("%r,%.17g\n", [v, x])
             assert kernel_calls == [(size, False) for size in sizes]
 
     def test_the_2_53_bound_holds_for_the_whole_column(self, kernel_calls):
@@ -439,7 +444,7 @@ class TestKernelCalls:
         v = np.arange(n, dtype=np.int64) - 50
         v[-1] = 2 ** 53 + 1
         x = np.arange(n) / 7.0
-        assert_same_blocks("%d,%.17g\n", [v, x])
+        assert_same_blocks("%r,%.17g\n", [v, x])
         assert kernel_calls == [(BLOCK_ROWS, False), (100, False)]
 
 
@@ -492,13 +497,13 @@ literal = st.text(st.characters(blacklist_characters="%\0",
 @st.composite
 def templates_and_columns(draw):
     """A template of 1-4 fields between random literals and one column per
-    field: floats for %.17g and %r; int64 for %d; floats, or integers,
-    floats and strings in an object column, for %s."""
+    field: floats or int64 for any of the three; or, for %s, integers,
+    floats and strings in an object column."""
     n = draw(st.integers(1, 30))
     template, columns = draw(literal), []
     for _ in range(draw(st.integers(1, 4))):
-        spec = draw(st.sampled_from(["%.17g", "%r", "%d", "%s"]))
-        if spec == "%d":
+        spec = draw(st.sampled_from(["%.17g", "%r", "%s"]))
+        if draw(st.integers(0, 3)) == 0:
             column = np.array(draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
                                             min_size=n, max_size=n)), dtype=np.int64)
         elif spec == "%s" and draw(st.booleans()):
@@ -516,8 +521,8 @@ def templates_and_columns(draw):
 def shared_columns(draw):
     """1-6 fields over 1-3 column objects, each named by any number of
     fields under mixed specs, with row counts on either side of a full
-    block: float columns under %.17g, %r and %s; int64 columns, some past
-    2^53, under any of the four."""
+    block: float columns and int64 columns, some past 2^53, under %.17g,
+    %r and %s."""
     n = draw(st.sampled_from([BLOCK_ROWS // 3, BLOCK_ROWS - 1, BLOCK_ROWS,
                               BLOCK_ROWS + 1, 2 * BLOCK_ROWS - 1]) | st.integers(1, 40))
     pool = []
@@ -531,8 +536,7 @@ def shared_columns(draw):
     template, columns = draw(literal), []
     for _ in range(draw(st.integers(1, 6))):
         column = draw(st.sampled_from(pool))
-        specs = ["%.17g", "%r", "%s"] + (["%d"] if column.dtype.kind == "i" else [])
-        template += draw(st.sampled_from(specs)) + draw(literal)
+        template += draw(st.sampled_from(["%.17g", "%r", "%s"])) + draw(literal)
         columns.append(column)
     return template, columns
 
@@ -574,7 +578,7 @@ class TestFormatRowsOracle:
     @settings(max_examples=200, deadline=None)
     def test_integers(self, v):
         column = np.array(v, dtype=np.int64)
-        assert_same_blocks("%d %r %s\n", [column] * 3)
+        assert_same_blocks("%.17g %r %s\n", [column] * 3)
 
     @pytest.mark.parametrize("name", sorted(FIXED_FLOATS))
     def test_fixed_floats(self, name):
@@ -585,14 +589,14 @@ class TestFormatRowsOracle:
 
     def test_integer_edges(self):
         # Columns up to 2^53 print through the float digits, and one holding
-        # 2^53 + 1 must not: a bound checked after a cast would print it
-        # as 9007199254740992.
+        # 2^53 + 1 must not under %r or %s: a bound checked after a cast
+        # would print it as 9007199254740992.
         e = 2 ** 53
         v = np.array([0, 1, -1, 9, -9, 10, -10, e - 1, 1 - e, e, -e, e + 1, -e - 1,
                       10 ** 18, 10 ** 18 - 1, 2 ** 63 - 1, -2 ** 63], dtype=np.int64)
         for column in (v[:7], v[:11], v[:12], v[:13], v[-1:], v):
-            assert_same_blocks("%d;", [column])
-            assert_same_blocks("%d;%.17g;%r\n", [column] * 3)
+            assert_same_blocks("%r;", [column])
+            assert_same_blocks("%s;%.17g;%r\n", [column] * 3)
 
     @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
     def test_block_edges(self, n):
@@ -602,8 +606,8 @@ class TestFormatRowsOracle:
         x[::11] = np.round(x[::11], 3)
         step = np.arange(n) - 7
         labels = np.array([b"%d" % i for i in range(n)], dtype="S8")
-        assert_same_blocks("%d,%.17g,%r\n", [step, x, x])
-        assert_same_blocks('{"i": %d, "x": %r}', [step, x], ", ")
+        assert_same_blocks("%r,%.17g,%r\n", [step, x, x])
+        assert_same_blocks('{"i": %r, "x": %r}', [step, x], ", ")
         assert "".join(format_rows("%s|%r\n", [labels, x])) == \
             "".join(oracle_format_rows("%s|%r\n", [labels.astype(str).astype(object), x]))
 

@@ -63,7 +63,7 @@ class TestKFromPotential:
 class TestSolutions:
     def test_real_solution_zero_potential_is_unity(self):
         field = real_solution(0.0, NAT, sign=1)
-        assert field(0.7, -0.3, 2.0) == 1.0
+        assert field.value(0.7, -0.3, 2.0) == 1.0
 
     def test_real_solution_solves_r(self):
         field = real_solution(2.5, NAT, sign=1)
